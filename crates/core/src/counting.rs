@@ -51,9 +51,10 @@
 
 use crate::arena::CandidateArena;
 use crate::bitmap::BitmapState;
-use crate::cast::{idx, w64};
+use crate::cast::{id32, idx, w64};
 use crate::contain::customer_contains;
 use crate::dataset::{shard_ranges, Dataset, ShardScratch};
+use crate::fxhash::FxHashMap;
 use crate::hash_tree::{SequenceHashTree, VisitSet};
 use crate::stats::MiningStats;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
@@ -164,20 +165,37 @@ pub struct AutoDecision {
 /// 4. Otherwise → [`CountingStrategy::Vertical`] — sparse occurrence lists
 ///    beat scanning mostly-empty words.
 pub fn auto_decide(ds: &dyn Dataset) -> AutoDecision {
+    let (mut shards, mut bytes) = (0u64, 0u64);
+    auto_decide_scan(ds, None, &mut shards, &mut bytes)
+}
+
+/// [`auto_decide`] with the scan's shard size and load counters: a
+/// non-resident dataset is scanned in `shard_customers` slices (or
+/// [`SCAN_SHARD_ROWS`] when none is set), each load counted in `shards`
+/// and `bytes`. Every statistic is additive, so the decision matches a
+/// whole-database scan exactly.
+fn auto_decide_scan(
+    ds: &dyn Dataset,
+    shard_customers: Option<usize>,
+    shards: &mut u64,
+    bytes: &mut u64,
+) -> AutoDecision {
     let customers = w64(ds.num_rows());
     let litemsets = w64(ds.table().len());
     let mut transactions = 0u64;
     let mut occurrences = 0u64;
     let mut words = 0u64;
-    // Non-resident backends are scanned in bounded slices; every statistic
-    // is additive, so the decision matches a whole-database scan exactly.
-    let scan = if ds.resident().is_some() {
-        None
-    } else {
-        Some(SCAN_SHARD_ROWS)
+    let scan = match ds.resident() {
+        Some(_) => None,
+        None => shard_customers.or(Some(SCAN_SHARD_ROWS)),
     };
     let mut scratch = ShardScratch::new();
     for range in shard_ranges(ds.num_rows(), scan) {
+        if scan.is_some() {
+            *shards += 1;
+            // seqpat-lint: allow(no-io-in-kernels) byte accounting read once from shard metadata
+            *bytes += ds.shard_bytes(range.clone());
+        }
         // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
         for customer in ds.load_shard(range, &mut scratch) {
             transactions += w64(customer.elements.len());
@@ -361,7 +379,12 @@ impl CountingContext {
         }
         let resolved = match self.strategy {
             CountingStrategy::Auto => {
-                let decision = auto_decide(ds);
+                let decision = auto_decide_scan(
+                    ds,
+                    self.shard_customers,
+                    &mut self.shards_processed,
+                    &mut self.shard_bytes,
+                );
                 let choice = decision.choice;
                 self.auto_decision = Some(decision);
                 choice
@@ -541,15 +564,46 @@ impl CountingContext {
         ds: &dyn Dataset,
         min_count: u64,
     ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-        large_two_sharded(
-            ds,
-            min_count,
-            self.parallelism,
-            self.shard_customers,
-            &mut self.containment_tests,
-            &mut self.shards_processed,
-            &mut self.shard_bytes,
-        )
+        self.large_two_capped(ds, min_count, PAIR_DENSE_CAP_BYTES)
+    }
+
+    /// [`CountingContext::large_two`] with the dense-matrix byte cap as a
+    /// parameter. One pair counter serves the whole pass; per shard, rows
+    /// go to the workers in [`PAIR_BATCH_ROWS`] batches, and each worker
+    /// returns its chunk's pair keys, bumped into the counter in chunk
+    /// order, then shard order — exact integer counts, so the totals match
+    /// the unsharded run bit for bit. Shard-load statistics are recorded
+    /// only when rows actually stream (multiple shards, or a non-resident
+    /// backend).
+    fn large_two_capped(
+        &mut self,
+        ds: &dyn Dataset,
+        min_count: u64,
+        cap_bytes: u64,
+    ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
+        let n = ds.table().len();
+        let threads = self.parallelism.resolved_threads();
+        let ranges = shard_ranges(ds.num_rows(), self.shard_customers);
+        let streaming = ranges.len() > 1 || ds.resident().is_none();
+        let mut counts = PairCounts::new(n, cap_bytes);
+        let mut scratch = ShardScratch::new();
+        for range in ranges {
+            if streaming {
+                self.shards_processed += 1;
+                // seqpat-lint: allow(no-io-in-kernels) byte accounting read once from shard metadata
+                self.shard_bytes += ds.shard_bytes(range.clone());
+            }
+            // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
+            let rows = ds.load_shard(range, &mut scratch);
+            for batch in rows.chunks(PAIR_BATCH_ROWS) {
+                let partials = pair_keys(batch, n, threads);
+                for keys in partials {
+                    self.containment_tests += w64(keys.len());
+                    counts.bump(&keys);
+                }
+            }
+        }
+        (w64(n) * w64(n), counts.into_large(n, min_count))
     }
 
     /// The vertical state over the whole database, building the occurrence
@@ -735,185 +789,157 @@ fn count_direct_slice(
 /// large sequences in lexicographic id order. `containment_tests` is
 /// incremented once per distinct `(a, b)` pair observed per customer.
 ///
-/// Customers are sharded over the workers `parallelism` resolves to, each
-/// with a private `PairCounts` (dense workers cost `n²` u32 apiece —
-/// bounded by `DENSE_LIMIT` at 64 MiB per worker), merged in chunk order.
+/// One-shot entry point over the whole dataset; algorithm code goes
+/// through [`CountingContext::large_two`], which streams shards. Either
+/// way the pass allocates one pair counter (a dense matrix up to 8 192
+/// litemsets, a hash map beyond), and workers hand back pair keys, not
+/// count matrices.
 pub fn large_two_sequences(
     ds: &dyn Dataset,
     min_count: u64,
     parallelism: Parallelism,
     containment_tests: &mut u64,
 ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-    let mut shards = 0u64;
-    let mut bytes = 0u64;
-    large_two_sharded(
-        ds,
-        min_count,
+    let mut ctx = CountingContext::new(
+        CountingStrategy::default(),
+        TreeParams::default(),
         parallelism,
-        None,
-        containment_tests,
-        &mut shards,
-        &mut bytes,
-    )
+        VerticalParams::default(),
+    );
+    let out = ctx.large_two(ds, min_count);
+    *containment_tests += ctx.containment_tests;
+    out
 }
 
-/// Shard-aware body of [`large_two_sequences`]: counts pairs one shard at
-/// a time, merging each shard's per-chunk `PairCounts` in chunk order, then
-/// shards in shard order — exact integer merges, so the totals match the
-/// unsharded run bit for bit. Shard-load statistics are recorded only when
-/// rows actually stream (multiple shards, or a non-resident backend).
-fn large_two_sharded(
-    ds: &dyn Dataset,
-    min_count: u64,
-    parallelism: Parallelism,
-    shard_customers: Option<usize>,
-    containment_tests: &mut u64,
-    shards_processed: &mut u64,
-    shard_bytes: &mut u64,
-) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-    let n = ds.table().len();
-    let candidates = w64(n) * w64(n);
-    let threads = parallelism.resolved_threads();
-    let ranges = shard_ranges(ds.num_rows(), shard_customers);
-    let streaming = ranges.len() > 1 || ds.resident().is_none();
-    let mut counts = PairCounts::new(n);
-    let mut scratch = ShardScratch::new();
-    for range in ranges {
-        if streaming {
-            *shards_processed += 1;
-            // seqpat-lint: allow(no-io-in-kernels) byte accounting read once from shard metadata
-            *shard_bytes += ds.shard_bytes(range.clone());
-        }
-        // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
-        let rows = ds.load_shard(range, &mut scratch);
-        let partials = map_chunks(rows, threads, |chunk| {
-            let mut counts = PairCounts::new(n);
-            let mut tests = 0u64;
-            // Per-customer pair set: collect, sort, dedup, then bump counts.
-            let mut pairs: Vec<(LitemsetId, LitemsetId)> = Vec::new();
-            let mut seen_before: Vec<LitemsetId> = Vec::new();
-            for customer in chunk {
-                if customer.elements.len() < 2 {
-                    continue;
-                }
-                pairs.clear();
-                seen_before.clear();
-                for element in &customer.elements {
-                    if !seen_before.is_empty() {
-                        for &b in element {
-                            for &a in &seen_before {
-                                pairs.push((a, b));
-                            }
+/// Largest pass-2 pair counter kept as a dense `n×n` `u32` matrix, in
+/// bytes: 256 MiB holds an 8 192-litemset alphabet. Beyond it the pass
+/// counts pairs in a hash map keyed by the pairs actually seen.
+const PAIR_DENSE_CAP_BYTES: u64 = 256 << 20;
+
+/// Customers per pass-2 key batch: workers return the pair keys of at most
+/// this many rows at a time, so the key buffers stay at a few MB (about
+/// 10 MB on C10-T2.5-S4-I1.25 at minsup 0.33 %, ~1 270 pairs a customer).
+const PAIR_BATCH_ROWS: usize = 1024;
+
+/// Pass-2 pair keys of one row batch, one key list per worker chunk in
+/// chunk order: `a·n + b` for every distinct pair `⟨a b⟩` each customer
+/// contains. The number of keys is the containment-test count.
+///
+/// `⟨a b⟩` is contained iff `a` occurs in a transaction strictly before
+/// one holding `b`, i.e. iff `first[a] < last[b]`. The customer's ids are
+/// listed in order of first occurrence, so for each `b` the matching `a`s
+/// are a prefix of that list: every distinct pair comes out exactly once,
+/// with no per-customer pair list to sort or dedup.
+fn pair_keys(batch: &[TransformedCustomer], n: usize, threads: usize) -> Vec<Vec<usize>> {
+    const UNSEEN: u32 = u32::MAX;
+    map_chunks(batch, threads, |chunk| {
+        let mut keys = Vec::new();
+        // slot[id]: the id's position in `seen`, or UNSEEN.
+        let mut slot = vec![UNSEEN; n];
+        // (id, first transaction, last transaction), by first transaction.
+        let mut seen: Vec<(LitemsetId, u32, u32)> = Vec::new();
+        for customer in chunk {
+            if customer.elements.len() < 2 {
+                continue;
+            }
+            for (t, element) in customer.elements.iter().enumerate() {
+                let t = id32(t);
+                for &id in element {
+                    debug_assert!(idx(id) < n, "pair ids come from the n-litemset alphabet");
+                    match slot[idx(id)] {
+                        UNSEEN => {
+                            slot[idx(id)] = id32(seen.len());
+                            seen.push((id, t, t));
                         }
+                        s => seen[idx(s)].2 = t,
                     }
-                    seen_before.extend_from_slice(element);
-                    seen_before.sort_unstable();
-                    seen_before.dedup();
-                }
-                pairs.sort_unstable();
-                pairs.dedup();
-                tests += w64(pairs.len());
-                for &(a, b) in &pairs {
-                    counts.bump(a, b);
                 }
             }
-            (counts, tests)
-        });
-        for (partial, tests) in partials {
-            counts.merge(partial);
-            *containment_tests += tests;
+            for &(b, _, last_b) in &seen {
+                let col = idx(b);
+                for &(a, first_a, _) in &seen {
+                    if first_a >= last_b {
+                        break;
+                    }
+                    keys.push(idx(a) * n + col);
+                }
+            }
+            for &(id, _, _) in &seen {
+                slot[idx(id)] = UNSEEN;
+            }
+            seen.clear();
         }
-    }
-    (candidates, counts.into_large(min_count))
+        keys
+    })
 }
 
-/// Pair-count storage: dense `n×n` matrix for small alphabets, hash map
-/// beyond (a 4096-litemset alphabet already needs 64 MiB dense).
+/// Whether an `n×n` `u32` pair matrix fits `cap_bytes`.
+fn dense_pairs_fit(n: usize, cap_bytes: u64) -> bool {
+    w64(n)
+        .checked_mul(w64(n))
+        .and_then(|cells| cells.checked_mul(w64(std::mem::size_of::<u32>())))
+        .is_some_and(|bytes| bytes <= cap_bytes)
+}
+
+/// The pass-level pair counter: allocated once per pass, bumped with the
+/// workers' keys in chunk order, then shard order. Its form depends only
+/// on `n` and the byte cap (see [`PairCounts::new`]).
 enum PairCounts {
-    Dense { n: usize, counts: Vec<u32> },
-    Sparse(crate::fxhash::FxHashMap<(LitemsetId, LitemsetId), u32>),
+    Dense(Vec<u32>),
+    Sparse(FxHashMap<usize, u32>),
 }
 
 impl PairCounts {
-    const DENSE_LIMIT: usize = 4096;
-
-    fn new(n: usize) -> Self {
-        if n <= Self::DENSE_LIMIT {
-            PairCounts::Dense {
-                n,
-                counts: vec![0; n * n],
-            }
+    /// A dense matrix when [`dense_pairs_fit`], a hash map otherwise.
+    fn new(n: usize, cap_bytes: u64) -> Self {
+        if dense_pairs_fit(n, cap_bytes) {
+            PairCounts::Dense(vec![0; n * n])
         } else {
-            PairCounts::Sparse(crate::fxhash::FxHashMap::default())
+            PairCounts::Sparse(FxHashMap::default())
         }
     }
 
-    fn bump(&mut self, a: LitemsetId, b: LitemsetId) {
+    fn bump(&mut self, keys: &[usize]) {
         match self {
-            PairCounts::Dense { n, counts } => {
-                debug_assert!(
-                    idx(a) < *n && idx(b) < *n,
-                    "pair ids come from the n-litemset alphabet"
-                );
-                counts[idx(a) * *n + idx(b)] += 1;
+            PairCounts::Dense(counts) => {
+                for &key in keys {
+                    debug_assert!(key < counts.len(), "pair keys index the n×n matrix");
+                    counts[key] += 1;
+                }
             }
-            PairCounts::Sparse(map) => *map.entry((a, b)).or_insert(0) += 1,
+            PairCounts::Sparse(counts) => {
+                for &key in keys {
+                    *counts.entry(key).or_insert(0) += 1;
+                }
+            }
         }
     }
 
-    /// Adds another worker's counts into this one. The variant is a pure
-    /// function of `n`, so chunks always agree on the storage shape.
-    fn merge(&mut self, other: PairCounts) {
-        match (self, other) {
-            (PairCounts::Dense { counts, .. }, PairCounts::Dense { counts: o, .. }) => {
-                for (total, v) in counts.iter_mut().zip(o) {
-                    *total += v;
-                }
-            }
-            (PairCounts::Sparse(map), PairCounts::Sparse(o)) => {
-                for (pair, v) in o {
-                    *map.entry(pair).or_insert(0) += v;
-                }
-            }
-            // seqpat-lint: allow(no-panic-in-kernels) the variant is a pure function of n (see new), and merge only joins counters built for the same alphabet
-            _ => unreachable!("PairCounts variants diverged for one alphabet size"),
-        }
-    }
-
-    fn into_large(self, min_count: u64) -> Vec<crate::phases::maximal::LargeIdSequence> {
-        use crate::cast::id32;
+    /// The pairs counted at least `min_count` times over an `n`-litemset
+    /// alphabet, in lexicographic `(a, b)` order (key order, since
+    /// `key = a·n + b` with `b < n`).
+    fn into_large(self, n: usize, min_count: u64) -> Vec<crate::phases::maximal::LargeIdSequence> {
         use crate::phases::maximal::LargeIdSequence;
-        let mut out = Vec::new();
-        match self {
-            PairCounts::Dense { n, counts } => {
+        let large = |&(_, c): &(usize, u32)| u64::from(c) >= min_count;
+        let entries: Vec<(usize, u32)> = match self {
+            PairCounts::Dense(counts) => {
                 debug_assert!(counts.len() == n * n, "dense matrix is n×n");
-                for a in 0..n {
-                    for b in 0..n {
-                        let c = u64::from(counts[a * n + b]);
-                        if c >= min_count {
-                            out.push(LargeIdSequence {
-                                // seqpat-lint: allow(no-alloc-in-hot-loop) one owned ids vec per emitted large sequence — output-proportional, not input-proportional
-                                ids: vec![id32(a), id32(b)],
-                                support: c,
-                            });
-                        }
-                    }
-                }
+                counts.into_iter().enumerate().filter(large).collect()
             }
-            PairCounts::Sparse(map) => {
-                let mut entries: Vec<_> = map
-                    .into_iter()
-                    .filter(|&(_, c)| u64::from(c) >= min_count)
-                    .collect();
-                entries.sort_unstable_by_key(|&((a, b), _)| (a, b));
-                out.extend(entries.into_iter().map(|((a, b), c)| LargeIdSequence {
-                    // seqpat-lint: allow(no-alloc-in-hot-loop) one owned ids vec per emitted large sequence — output-proportional, not input-proportional
-                    ids: vec![a, b],
-                    support: u64::from(c),
-                }));
+            PairCounts::Sparse(counts) => {
+                let mut entries: Vec<(usize, u32)> = counts.into_iter().filter(large).collect();
+                entries.sort_unstable();
+                entries
             }
-        }
-        out
+        };
+        entries
+            .into_iter()
+            .map(|(key, c)| LargeIdSequence {
+                // seqpat-lint: allow(no-alloc-in-hot-loop) one owned ids vec per emitted large sequence — output-proportional, not input-proportional
+                ids: vec![id32(key / n), id32(key % n)],
+                support: u64::from(c),
+            })
+            .collect()
     }
 }
 
@@ -1256,6 +1282,74 @@ mod tests {
     }
 
     #[test]
+    fn pair_storage_depends_only_on_alphabet_and_cap() {
+        assert!(dense_pairs_fit(0, 0));
+        assert!(!dense_pairs_fit(1, 0));
+        assert!(dense_pairs_fit(1, 4));
+        assert!(dense_pairs_fit(8192, PAIR_DENSE_CAP_BYTES));
+        assert!(!dense_pairs_fit(8193, PAIR_DENSE_CAP_BYTES));
+        assert!(!dense_pairs_fit(usize::MAX, u64::MAX));
+        assert!(matches!(PairCounts::new(5, 0), PairCounts::Sparse(_)));
+        assert!(matches!(
+            PairCounts::new(5, PAIR_DENSE_CAP_BYTES),
+            PairCounts::Dense(_)
+        ));
+    }
+
+    #[test]
+    fn auto_scan_streams_configured_shards_and_counts_them() {
+        let db = synth_tdb(100, 8, 4);
+        let (mut shards, mut bytes) = (0u64, 0u64);
+        // A resident dataset is read in place: no loads to count.
+        let resident = auto_decide_scan(&db, Some(30), &mut shards, &mut bytes);
+        assert_eq!(resident, auto_decide(&db));
+        assert_eq!((shards, bytes), (0, 0));
+        let streamed = auto_decide_scan(&Streamed(&db), Some(30), &mut shards, &mut bytes);
+        assert_eq!(streamed, resident);
+        assert_eq!(shards, 4);
+        assert_eq!(bytes, db.shard_bytes(0..100));
+        let (mut shards, mut bytes) = (0u64, 0u64);
+        auto_decide_scan(&Streamed(&db), None, &mut shards, &mut bytes);
+        assert_eq!(
+            shards, 1,
+            "without a shard size the scan uses SCAN_SHARD_ROWS slices"
+        );
+    }
+
+    /// A resident database seen through the non-resident half of the
+    /// [`Dataset`] contract: rows are copied into the scratch per load.
+    struct Streamed<'a>(&'a TransformedDatabase);
+
+    impl Dataset for Streamed<'_> {
+        fn table(&self) -> &LitemsetTable {
+            self.0.table()
+        }
+        fn total_customers(&self) -> usize {
+            self.0.total_customers()
+        }
+        fn num_rows(&self) -> usize {
+            self.0.num_rows()
+        }
+        fn resident(&self) -> Option<&[TransformedCustomer]> {
+            None
+        }
+        fn load_shard<'b>(
+            &'b self,
+            range: std::ops::Range<usize>,
+            scratch: &'b mut ShardScratch,
+        ) -> &'b [TransformedCustomer] {
+            scratch.clear();
+            for row in &self.0.customers[range] {
+                scratch.push(row.clone());
+            }
+            scratch.rows()
+        }
+        fn shard_bytes(&self, range: std::ops::Range<usize>) -> u64 {
+            self.0.shard_bytes(range)
+        }
+    }
+
+    #[test]
     fn small_fanout_and_leaf_capacity_still_agree() {
         let db = tdb();
         let candidates = arena(&[vec![0, 1], vec![0, 2], vec![0, 3], vec![0, 4], vec![1, 4]]);
@@ -1393,6 +1487,41 @@ mod proptests {
         CandidateArena::from_rows(len, candidates.iter().map(|c| c.as_slice()))
     }
 
+    /// Pass 2 by brute force: every ordered pair `⟨a b⟩` against every
+    /// customer, contained when some transaction holding `a` precedes one
+    /// holding `b`. Returns `(candidates, large 2-sequences in (a, b)
+    /// order, containment tests)`, one test per contained pair per
+    /// customer.
+    fn naive_pass2(
+        db: &TransformedDatabase,
+        min_count: u64,
+    ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>, u64) {
+        let n = db.table.len() as LitemsetId;
+        let mut large = Vec::new();
+        let mut tests = 0u64;
+        for a in 0..n {
+            for b in 0..n {
+                let support = db
+                    .customers
+                    .iter()
+                    .filter(|c| {
+                        c.elements.iter().enumerate().any(|(i, e)| {
+                            e.contains(&a) && c.elements[i + 1..].iter().any(|f| f.contains(&b))
+                        })
+                    })
+                    .count() as u64;
+                tests += support;
+                if support >= min_count {
+                    large.push(crate::phases::maximal::LargeIdSequence {
+                        ids: vec![a, b],
+                        support,
+                    });
+                }
+            }
+        }
+        (u64::from(n) * u64::from(n), large, tests)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -1469,6 +1598,43 @@ mod proptests {
                 prop_assert_eq!(&parallel.1, &serial.1);
                 prop_assert_eq!(parallel.0, serial.0);
                 prop_assert_eq!(tests, serial_tests);
+            }
+        }
+
+        /// Pass 2 against a brute-force recount, for every shard size,
+        /// thread count and both pair-counter forms (a zero byte cap forces
+        /// the hash map).
+        #[test]
+        fn pass2_matches_naive_recount(
+            raw_db in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(0u8..12, 1..4),
+                    0..6,
+                ),
+                0..12,
+            ),
+            min_count in 1u64..4,
+        ) {
+            let db = build_tdb(raw_db);
+            let expected = naive_pass2(&db, min_count);
+            for cap in [PAIR_DENSE_CAP_BYTES, 0] {
+                for shard in [None, Some(1), Some(3), Some(7)] {
+                    for threads in [1usize, 2, 3] {
+                        let mut ctx = CountingContext::new(
+                            CountingStrategy::default(),
+                            TreeParams::default(),
+                            Parallelism::threads(threads),
+                            VerticalParams::default(),
+                        )
+                        .with_shard_customers(shard);
+                        let (candidates, large) = ctx.large_two_capped(&db, min_count, cap);
+                        prop_assert_eq!(
+                            (candidates, large, ctx.containment_tests),
+                            expected.clone(),
+                            "cap {} shard {:?} threads {}", cap, shard, threads
+                        );
+                    }
+                }
             }
         }
 

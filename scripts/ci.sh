@@ -47,6 +47,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> e2ebench build + tests (separate package, path deps on the crates)"
+# The end-to-end benchmark is its own package (empty [workspace]), so the
+# workspace build above never compiles it; it calls public counting and
+# I/O functions, and this step catches an API break there before the
+# benchmark driver does. Same target dir as e2ebench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo test --release -q --manifest-path e2ebench/Cargo.toml
+
 echo "==> shard smoke (mmap backend, 3-customer shards, diff vs mem backend)"
 # End-to-end out-of-core check through the CLI: generate a tiny dataset,
 # build its colstore, and require the sharded mmap-backend mine to print
