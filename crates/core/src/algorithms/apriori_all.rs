@@ -38,23 +38,6 @@ pub struct SequencePhaseOptions {
     pub shard_customers: Option<usize>,
 }
 
-impl SequencePhaseOptions {
-    /// The per-run [`CountingContext`] these options describe. Resolves
-    /// `Auto` up front so the decision is recorded in the run's stats even
-    /// when mining finishes before any counting pass runs.
-    pub fn context(&self, ds: &dyn Dataset) -> CountingContext {
-        let mut ctx = CountingContext::new(
-            self.counting,
-            self.tree_params,
-            self.parallelism,
-            self.vertical,
-        )
-        .with_shard_customers(self.shard_customers);
-        ctx.resolved_strategy(ds);
-        ctx
-    }
-}
-
 /// The large 1-sequences: every litemset id, with the support the litemset
 /// phase already counted (`support(⟨l⟩)` equals the customer support of the
 /// itemset `l` by definition).
@@ -75,7 +58,7 @@ pub fn apriori_all(
     options: &SequencePhaseOptions,
     stats: &mut MiningStats,
 ) -> Vec<LargeIdSequence> {
-    let mut ctx = options.context(ds);
+    let mut ctx = CountingContext::new(ds, options);
     let pass_start = Stopwatch::start();
     let l1 = large_one_sequences(ds);
     stats.record_pass(SequencePassStats {

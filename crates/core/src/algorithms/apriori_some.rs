@@ -17,6 +17,7 @@ use super::backward::{backward, ForwardOutput};
 use super::candidate;
 use super::next::next;
 use crate::arena::CandidateArena;
+use crate::counting::CountingContext;
 use crate::dataset::Dataset;
 use crate::phases::maximal::LargeIdSequence;
 use crate::stats::Stopwatch;
@@ -31,7 +32,7 @@ pub fn apriori_some(
     options: &SequencePhaseOptions,
     stats: &mut MiningStats,
 ) -> Vec<LargeIdSequence> {
-    let mut ctx = options.context(ds);
+    let mut ctx = CountingContext::new(ds, options);
     let pass_start = Stopwatch::start();
     let l1 = large_one_sequences(ds);
     stats.record_pass(SequencePassStats {

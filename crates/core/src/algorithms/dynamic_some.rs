@@ -21,6 +21,7 @@ use super::backward::{backward, ForwardOutput};
 use super::candidate;
 use super::otf::otf_generate;
 use crate::arena::CandidateArena;
+use crate::counting::CountingContext;
 use crate::dataset::Dataset;
 use crate::phases::maximal::LargeIdSequence;
 use crate::stats::Stopwatch;
@@ -43,7 +44,7 @@ pub fn dynamic_some(
     stats: &mut MiningStats,
 ) -> Vec<LargeIdSequence> {
     assert!(step >= 1, "DynamicSome requires step >= 1");
-    let mut ctx = options.context(ds);
+    let mut ctx = CountingContext::new(ds, options);
     let mut forward = ForwardOutput::default();
 
     // --- Initialization phase: exact L_1 ..= L_step. ---

@@ -24,31 +24,31 @@
 //! the customers actually supporting `x` are probed for suffixes. The
 //! suffix probes remain exact containment tests, so the counters differ
 //! from the horizontal path (fewer `x` probes, no bitmap prefilter on `y`)
-//! but the supports are identical.
+//! but the supports are identical. The bitmap strategy takes the same
+//! shape, with `occ(x)` recovered from a whole-database S-step fold
+//! ([`crate::bitmap::BitmapState::occurrences_of`] — first set bit per
+//! customer span).
 //!
-//! The bitmap strategy takes the same shape: `occ(x)` is recovered from a
-//! whole-database S-step fold ([`crate::bitmap::BitmapState::occurrences_of`]
-//! — first set bit per customer span), then suffixes are probed exactly as
-//! in the vertical path. `Auto` resolves before dispatching, so whichever
-//! index the run built is the one otf-generate reuses.
+//! The scan goes through the context's shard walk like every count. An
+//! index needs the whole table, so it is used only when the walk has one
+//! range (the run's persistent index, whichever strategy `Auto` resolved
+//! to); a sharded walk scans each shard horizontally.
 
 use super::candidate::IdSeq;
 use crate::arena::CandidateArena;
 use crate::contain::customer_contains_from;
-use crate::counting::{CountingContext, CountingStrategy, SCAN_SHARD_ROWS};
-use crate::dataset::{shard_ranges, Dataset, ShardScratch};
+use crate::counting::{CountingContext, OccurrenceIndex};
+use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
 use crate::types::transformed::TransformedCustomer;
 
 /// Runs otf-generate over the whole database. Returns `(candidate, support)`
-/// pairs sorted by candidate; containment probes (and, vertically, joins)
-/// are recorded on `ctx`. Stays serial: it interleaves generation with
-/// counting in one scan and is bound by `|Lk|·|Lj|`, not the customer scan.
-///
-/// Non-resident backends stream the horizontal scan shard by shard (the
-/// per-customer probe is self-contained, so the counts are additive across
-/// shards and the supports identical; the index-based paths need the whole
-/// database resident, which is exactly what streaming avoids).
+/// pairs sorted by candidate; containment probes (and, with an index,
+/// joins or smeared words) are recorded on `ctx`. Stays serial: it
+/// interleaves generation with counting in one scan and is bound by
+/// `|Lk|·|Lj|`, not the customer scan. The per-customer probe is
+/// self-contained, so counts are additive across shards and the supports
+/// are identical whatever the walk.
 pub fn otf_generate(
     ds: &dyn Dataset,
     lk: &CandidateArena,
@@ -58,55 +58,15 @@ pub fn otf_generate(
     if lk.is_empty() || lj.is_empty() {
         return Vec::new();
     }
-    let counts = match ds.resident() {
-        // `Auto` never reaches the dispatch (resolved_strategy resolves it
-        // to a concrete strategy), but it is named rather than wildcarded
-        // so a new strategy fails lint here until it gets an otf path.
-        Some(rows) => match ctx.resolved_strategy(ds) {
-            CountingStrategy::Vertical => otf_vertical(ds, rows, lk, lj, ctx),
-            CountingStrategy::Bitmap => otf_bitmap(ds, rows, lk, lj, ctx),
-            CountingStrategy::Direct | CountingStrategy::HashTree | CountingStrategy::Auto => {
-                let mut counts = FxHashMap::default();
-                otf_horizontal(
-                    rows,
-                    ds.table().len(),
-                    lk,
-                    lj,
-                    &mut ctx.containment_tests,
-                    &mut counts,
-                );
-                counts
-            }
-        },
-        None => otf_streaming(ds, lk, lj, ctx),
-    };
+    let num_litemsets = ds.table().len();
+    let mut counts: FxHashMap<IdSeq, u64> = FxHashMap::default();
+    ctx.scan(ds, |rows, index, tests| match index {
+        Some(index) => otf_indexed(rows, index, lk, lj, tests, &mut counts),
+        None => otf_horizontal(rows, num_litemsets, lk, lj, tests, &mut counts),
+    });
     let mut out: Vec<(IdSeq, u64)> = counts.into_iter().collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-/// Shard-by-shard horizontal otf over a non-resident backend: per-customer
-/// counts are added into one map across shards, so the result matches the
-/// resident horizontal scan exactly while holding one shard at a time.
-fn otf_streaming(
-    ds: &dyn Dataset,
-    lk: &CandidateArena,
-    lj: &CandidateArena,
-    ctx: &mut CountingContext,
-) -> FxHashMap<IdSeq, u64> {
-    let mut counts: FxHashMap<IdSeq, u64> = FxHashMap::default();
-    let num_litemsets = ds.table().len();
-    let shard = ctx.shard_customers().or(Some(SCAN_SHARD_ROWS));
-    let mut scratch = ShardScratch::new();
-    let mut tests = 0u64;
-    for range in shard_ranges(ds.num_rows(), shard) {
-        ctx.shards_processed += 1;
-        ctx.shard_bytes += ds.shard_bytes(range.clone());
-        let rows = ds.load_shard(range, &mut scratch);
-        otf_horizontal(rows, num_litemsets, lk, lj, &mut tests, &mut counts);
-    }
-    ctx.containment_tests += tests;
-    counts
 }
 
 fn otf_horizontal(
@@ -149,64 +109,32 @@ fn otf_horizontal(
     }
 }
 
-/// Vertical variant: occurrence lists give each `x`'s supporting customers
-/// with earliest ends directly, replacing the prefix scan with cache
-/// lookups/folds over the index. `rows` is the resident row slice of `ds`.
-fn otf_vertical(
-    ds: &dyn Dataset,
-    rows: &[TransformedCustomer],
+/// Index variant: the occurrence index gives each `x`'s supporting
+/// customers with earliest ends directly (vertical: cache lookups/folds;
+/// bitmap: S-step folds), replacing the prefix scan. `customers` is the
+/// whole table the index was built over.
+fn otf_indexed(
+    customers: &[TransformedCustomer],
+    index: &mut dyn OccurrenceIndex,
     lk: &CandidateArena,
     lj: &CandidateArena,
-    ctx: &mut CountingContext,
-) -> FxHashMap<IdSeq, u64> {
-    let mut counts: FxHashMap<IdSeq, u64> = FxHashMap::default();
-    let mut tests = 0u64;
-    // One occurrence buffer for the whole Lk loop; the state borrow ends
-    // with each fill, freeing `ctx` for the counter update below.
+    containment_tests: &mut u64,
+    counts: &mut FxHashMap<IdSeq, u64>,
+) {
+    // One occurrence buffer for the whole Lk loop.
     let mut occ = Vec::new();
     for x in lk.iter() {
-        ctx.vertical_state(ds).occurrences_of(x, &mut occ);
+        index.occurrences_of(x, &mut occ);
         for o in &occ {
-            let customer = &rows[o.customer as usize];
+            let customer = &customers[o.customer as usize];
             for y in lj.iter() {
-                tests += 1;
+                *containment_tests += 1;
                 if customer_contains_from(customer, y, o.pos as usize + 1).is_some() {
-                    bump(&mut counts, x, y);
+                    bump(counts, x, y);
                 }
             }
         }
     }
-    ctx.containment_tests += tests;
-    counts
-}
-
-/// Bitmap variant: identical structure to [`otf_vertical`], with `occ(x)`
-/// computed by an S-step fold over the packed index (smeared words are
-/// counted on the state).
-fn otf_bitmap(
-    ds: &dyn Dataset,
-    rows: &[TransformedCustomer],
-    lk: &CandidateArena,
-    lj: &CandidateArena,
-    ctx: &mut CountingContext,
-) -> FxHashMap<IdSeq, u64> {
-    let mut counts: FxHashMap<IdSeq, u64> = FxHashMap::default();
-    let mut tests = 0u64;
-    let mut occ = Vec::new();
-    for x in lk.iter() {
-        ctx.bitmap_state(ds).occurrences_of(x, &mut occ);
-        for o in &occ {
-            let customer = &rows[o.customer as usize];
-            for y in lj.iter() {
-                tests += 1;
-                if customer_contains_from(customer, y, o.pos as usize + 1).is_some() {
-                    bump(&mut counts, x, y);
-                }
-            }
-        }
-    }
-    ctx.containment_tests += tests;
-    counts
 }
 
 fn bump(counts: &mut FxHashMap<IdSeq, u64>, x: &[u32], y: &[u32]) {
@@ -221,6 +149,7 @@ mod tests {
     use super::*;
     use crate::algorithms::apriori_all::tests::paper_tdb;
     use crate::algorithms::apriori_all::SequencePhaseOptions;
+    use crate::counting::CountingStrategy;
     use crate::types::transformed::TransformedDatabase;
 
     fn arena(rows: &[Vec<u32>]) -> CandidateArena {
@@ -231,11 +160,11 @@ mod tests {
     }
 
     fn ctx_for(counting: CountingStrategy, tdb: &TransformedDatabase) -> CountingContext {
-        SequencePhaseOptions {
+        let options = SequencePhaseOptions {
             counting,
             ..Default::default()
-        }
-        .context(tdb)
+        };
+        CountingContext::new(tdb, &options)
     }
 
     #[test]
@@ -258,7 +187,7 @@ mod tests {
         assert_eq!(get(&[0, 3]), 2); // ⟨(30)(70)⟩
         assert_eq!(get(&[0, 4]), 2); // ⟨(30)(90)⟩
         assert_eq!(get(&[4, 0]), 0); // wrong order never counted
-        assert!(ctx.containment_tests > 0);
+        assert!(ctx.tally.containment_tests > 0);
     }
 
     #[test]
@@ -317,7 +246,7 @@ mod tests {
         let l1 = arena(&[vec![0]]);
         assert!(otf_generate(&tdb, &CandidateArena::default(), &l1, &mut ctx).is_empty());
         assert!(otf_generate(&tdb, &l1, &CandidateArena::default(), &mut ctx).is_empty());
-        assert_eq!(ctx.containment_tests, 0);
+        assert_eq!(ctx.tally.containment_tests, 0);
     }
 
     #[test]

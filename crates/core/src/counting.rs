@@ -1,7 +1,8 @@
 //! Support counting for candidate sequences over the transformed database.
 //!
-//! Four interchangeable strategies plus an automatic selector (an ablation
-//! bench in `seqpat-bench` compares them):
+//! Four interchangeable strategies, plus `Auto`, which picks one of them
+//! from database statistics (an ablation bench in `seqpat-bench` compares
+//! them):
 //!
 //! * [`CountingStrategy::Direct`] — for each customer, test every candidate
 //!   with the greedy containment scan, prefiltered by a litemset-presence
@@ -16,10 +17,10 @@
 //! * [`CountingStrategy::Bitmap`] — SPAM-style packed bitmaps with
 //!   shift-AND S-step extension kernels ([`crate::bitmap`]): the temporal
 //!   join becomes word-parallel ALU work over a flat `u64` arena.
-//! * [`CountingStrategy::Auto`] — resolves to Bitmap, Vertical, or
-//!   HashTree after the transformation phase from cheap database
-//!   statistics (see [`auto_decide`]); the decision and its inputs are
-//!   recorded in [`MiningStats`].
+//! * [`CountingStrategy::Auto`] — resolved to Bitmap, Vertical, or HashTree
+//!   when the run's [`CountingContext`] is built, from one statistics scan
+//!   (see [`auto_decide`]); the decision and its inputs are recorded in
+//!   [`MiningStats`].
 //!
 //! All strategies produce identical counts (pinned by tests here and by
 //! property tests at the workspace level). The horizontal strategies report
@@ -27,28 +28,45 @@
 //! reports merge-joins; the bitmap strategy reports smeared words — all
 //! feed the harness's machine-independent cost counters.
 //!
+//! Pass 2 bypasses the strategy: its candidates are always all `|L1|²`
+//! ordered litemset pairs, so [`CountingContext::large_two`] counts them in
+//! one scan into a pair counter (see [`large_two_sequences`]).
+//!
+//! ## One walk over the rows
+//!
+//! Every scan of the customer rows — `Auto`'s statistics, pass 2, each
+//! later count, and DynamicSome's on-the-fly pass — goes through one shard
+//! walk owned by the [`CountingContext`]. Unsharded, the walk has one
+//! range: a resident table is borrowed in place, and a non-resident one is
+//! decoded on first use and kept for the rest of the run, so the run
+//! decodes it once. Sharded, each range is loaded into scratch in turn, so
+//! only one shard's rows are alive at a time. The walk is also the one
+//! place that counts loads in `shards_processed`/`shard_bytes`.
+//!
+//! The index strategies follow the same split. Over one range the index is
+//! built on the first count and kept for the run; for the vertical
+//! strategy that persistent state carries the pass-to-pass list cache.
+//! Over shards, each shard builds its own index (without a list cache),
+//! counts, and drops it. Either way the index's counters are drained into
+//! the context's tally right after each count. Partial supports are exact
+//! `u64` sums added in shard order, so sharded runs are bit-identical to
+//! unsharded ones.
+//!
 //! ## Parallel counting
 //!
 //! Support is counted per customer, each customer at most once, so the
-//! horizontal strategies shard `tdb.customers` into contiguous chunks via
-//! [`seqpat_itemset::parallel::map_chunks`]: every worker owns a private
+//! horizontal strategies shard each walk step's rows into contiguous chunks
+//! via [`seqpat_itemset::parallel::map_chunks`]: every worker owns a private
 //! support array plus private scratch (the presence bitmap for `Direct`,
 //! a [`VisitSet`] for `HashTree` — the [`SequenceHashTree`] itself is
-//! built once and shared immutably), and the per-chunk arrays and test
-//! counters are reduced in chunk order. The vertical strategy shards
+//! built once per count and shared immutably), and the per-chunk arrays and
+//! test counters are reduced in chunk order. The vertical strategy shards
 //! **candidates** (prefix runs) instead — see [`crate::vertical`]. Since
 //! the per-candidate counts are exact `u64` sums, parallel runs are
 //! **bit-identical** to serial runs — supports, large-sequence sets, and
 //! cost counters all match regardless of thread count or OS scheduling.
-//!
-//! ## Per-run state: [`CountingContext`]
-//!
-//! The algorithms drive counting through a [`CountingContext`], which owns
-//! the strategy knobs, the containment-test counter, and (for the vertical
-//! strategy) the lazily built [`VerticalState`] whose pass-to-pass list
-//! cache is the whole point of the vertical layout. One context lives for
-//! one mining run and is flushed into [`MiningStats`] at the end.
 
+use crate::algorithms::apriori_all::SequencePhaseOptions;
 use crate::arena::CandidateArena;
 use crate::bitmap::BitmapState;
 use crate::cast::{id32, idx, w64};
@@ -58,10 +76,10 @@ use crate::fxhash::FxHashMap;
 use crate::hash_tree::{SequenceHashTree, VisitSet};
 use crate::stats::MiningStats;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
-use crate::vertical::{VerticalParams, VerticalState};
+use crate::vertical::{Occurrence, VerticalParams, VerticalState};
 use seqpat_itemset::parallel::{map_chunks, sum_partials};
 use seqpat_itemset::Parallelism;
-use std::time::Duration;
+use std::ops::Range;
 
 /// Strategy for counting candidate supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,8 +93,8 @@ pub enum CountingStrategy {
     Vertical,
     /// SPAM-style packed bitmaps with S-step extension kernels.
     Bitmap,
-    /// Pick Bitmap/Vertical/HashTree from database statistics after the
-    /// transformation phase (see [`auto_decide`]).
+    /// Pick Bitmap/Vertical/HashTree from database statistics when the
+    /// run's counting context is built (see [`auto_decide`]).
     Auto,
 }
 
@@ -125,10 +143,6 @@ pub const AUTO_DENSITY_CROSSOVER: f64 = 0.05;
 /// for dense databases.
 pub const AUTO_BITMAP_CAP_BYTES: u64 = 1 << 30;
 
-/// Rows per bounded scan slice when a statistics pass streams a
-/// non-resident backend that has no explicit shard size configured.
-pub const SCAN_SHARD_ROWS: usize = 65_536;
-
 /// The statistics [`CountingStrategy::Auto`] decided from, plus the choice
 /// and a human-readable reason — recorded in [`MiningStats`] so `--stats`
 /// can show why a strategy was picked.
@@ -164,44 +178,40 @@ pub struct AutoDecision {
 ///    [`CountingStrategy::Bitmap`] — dense words amortize the S-step.
 /// 4. Otherwise → [`CountingStrategy::Vertical`] — sparse occurrence lists
 ///    beat scanning mostly-empty words.
+///
+/// This one-shot form reads a non-resident `ds` as one range (decoded
+/// whole); a mining run decides through [`CountingContext::new`], whose
+/// scan follows the configured shard size.
 pub fn auto_decide(ds: &dyn Dataset) -> AutoDecision {
-    let (mut shards, mut bytes) = (0u64, 0u64);
-    auto_decide_scan(ds, None, &mut shards, &mut bytes)
+    let options = SequencePhaseOptions::default();
+    let mut tally = MiningStats::default();
+    resolve_auto(ds, &options, &mut Shards::default(), &mut tally).1
 }
 
-/// [`auto_decide`] with the scan's shard size and load counters: a
-/// non-resident dataset is scanned in `shard_customers` slices (or
-/// [`SCAN_SHARD_ROWS`] when none is set), each load counted in `shards`
-/// and `bytes`. Every statistic is additive, so the decision matches a
-/// whole-database scan exactly.
-fn auto_decide_scan(
+/// [`auto_decide`] as a context runs it: returns the counter for the
+/// choice (configured from `options`) with the decision. A resident table
+/// is scanned in place; a non-resident one through `shards`' walk, which
+/// counts its loads in `tally`. Every statistic is additive, so the
+/// decision does not depend on the shard size.
+fn resolve_auto(
     ds: &dyn Dataset,
-    shard_customers: Option<usize>,
-    shards: &mut u64,
-    bytes: &mut u64,
-) -> AutoDecision {
+    options: &SequencePhaseOptions,
+    shards: &mut Shards,
+    tally: &mut MiningStats,
+) -> (Counter, AutoDecision) {
     let customers = w64(ds.num_rows());
     let litemsets = w64(ds.table().len());
-    let mut transactions = 0u64;
-    let mut occurrences = 0u64;
-    let mut words = 0u64;
-    let scan = match ds.resident() {
-        Some(_) => None,
-        None => shard_customers.or(Some(SCAN_SHARD_ROWS)),
-    };
-    let mut scratch = ShardScratch::new();
-    for range in shard_ranges(ds.num_rows(), scan) {
-        if scan.is_some() {
-            *shards += 1;
-            // seqpat-lint: allow(no-io-in-kernels) byte accounting read once from shard metadata
-            *bytes += ds.shard_bytes(range.clone());
-        }
-        // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
-        for customer in ds.load_shard(range, &mut scratch) {
+    let (mut transactions, mut occurrences, mut words) = (0u64, 0u64, 0u64);
+    let mut gather = |rows: &[TransformedCustomer]| {
+        for customer in rows {
             transactions += w64(customer.elements.len());
             occurrences += customer.elements.iter().map(|e| w64(e.len())).sum::<u64>();
             words += w64(customer.elements.len().div_ceil(64));
         }
+    };
+    match ds.resident() {
+        Some(rows) => gather(rows),
+        None => shards.for_each_shard(ds, tally, |rows, _, _| gather(rows)),
     }
     let mean_len = if customers == 0 {
         0.0
@@ -214,36 +224,37 @@ fn auto_decide_scan(
         occurrences as f64 / (customers as f64 * litemsets as f64)
     };
     let bitmap_bytes = litemsets * words * w64(std::mem::size_of::<u64>());
-    let (choice, reason) = if customers < AUTO_MIN_CUSTOMERS || litemsets == 0 {
+    let (counter, reason) = if customers < AUTO_MIN_CUSTOMERS || litemsets == 0 {
         (
-            CountingStrategy::HashTree,
+            Counter::HashTree(options.tree_params),
             "tiny database: index build would cost more than the scans it saves",
         )
     } else if bitmap_bytes > AUTO_BITMAP_CAP_BYTES {
         (
-            CountingStrategy::Vertical,
+            Counter::Vertical(options.vertical, None),
             "bitmap arena over the size cap: long-tail database, id-lists stay compact",
         )
     } else if density >= AUTO_DENSITY_CROSSOVER {
         (
-            CountingStrategy::Bitmap,
+            Counter::Bitmap(None),
             "dense database: word-parallel S-step kernels beat pointer-chasing joins",
         )
     } else {
         (
-            CountingStrategy::Vertical,
+            Counter::Vertical(options.vertical, None),
             "sparse database: id-list joins touch only actual occurrences",
         )
     };
-    AutoDecision {
-        choice,
+    let decision = AutoDecision {
+        choice: counter.strategy(),
         customers,
         litemsets,
         mean_len,
         density,
         bitmap_bytes,
         reason,
-    }
+    };
+    (counter, decision)
 }
 
 /// Hash-tree shape parameters (shared with the litemset phase defaults).
@@ -264,300 +275,338 @@ impl Default for TreeParams {
     }
 }
 
-/// Counters of ephemeral per-shard index states, folded across shards (the
-/// sharded path drops each shard's index before the next is built, so its
-/// counters survive here until [`CountingContext::flush_into`]).
-#[derive(Debug, Default)]
-struct ShardCounters {
-    vertical_index_time: Duration,
-    joins: u64,
-    gallop_skips: u64,
-    vertical_peak_bytes: u64,
-    bitmap_index_time: Duration,
-    sstep_ops: u64,
-    lane_words: u64,
-    carry_fixups: u64,
-    bitmap_words: u64,
+/// The concrete strategy a [`CountingContext`] counts with (`Auto` is
+/// resolved before one exists). The index strategies carry the run's
+/// persistent index: built over the whole table on first use when the walk
+/// has one range, and kept for the run. A sharded walk never fills it.
+#[derive(Debug)]
+enum Counter {
+    Direct,
+    HashTree(TreeParams),
+    Vertical(VerticalParams, Option<VerticalState>),
+    Bitmap(Option<BitmapState>),
 }
 
-/// Per-mining-run counting state: strategy knobs, the cost counters, and
-/// the vertical index/list-cache (built lazily on the first vertical
-/// count). Create one per run via `SequencePhaseOptions::context`, thread
-/// it through every pass, and [`CountingContext::flush_into`] the run's
-/// [`MiningStats`] once at the end.
+/// The inputs of one count, shared by every shard of its walk.
+struct Pass<'a> {
+    candidates: &'a CandidateArena,
+    num_ids: usize,
+    threads: usize,
+    /// The candidates' hash tree: built on the first shard, probed on all.
+    tree: Option<SequenceHashTree>,
+}
+
+impl Counter {
+    fn strategy(&self) -> CountingStrategy {
+        match self {
+            Counter::Direct => CountingStrategy::Direct,
+            Counter::HashTree(_) => CountingStrategy::HashTree,
+            Counter::Vertical(..) => CountingStrategy::Vertical,
+            Counter::Bitmap(_) => CountingStrategy::Bitmap,
+        }
+    }
+
+    /// Counts `pass` over one walk step's rows. With `whole` (the rows are
+    /// the whole table) an index strategy uses the persistent index;
+    /// otherwise it builds one for these rows and drops it.
+    fn count_rows(
+        &mut self,
+        rows: &[TransformedCustomer],
+        whole: bool,
+        pass: &mut Pass<'_>,
+        tally: &mut MiningStats,
+    ) -> Vec<u64> {
+        let (candidates, num_ids, threads) = (pass.candidates, pass.num_ids, pass.threads);
+        match self {
+            Counter::Direct => {
+                let (supports, tests) = count_direct_slice(rows, num_ids, candidates, threads);
+                tally.containment_tests += tests;
+                supports
+            }
+            Counter::HashTree(params) => {
+                let tree = match pass.tree.take() {
+                    Some(tree) => tree,
+                    None => {
+                        SequenceHashTree::build(candidates, params.fanout, params.leaf_capacity)
+                    }
+                };
+                let (supports, tests, probes) = probe_hash_tree(rows, &tree, candidates, threads);
+                pass.tree = Some(tree);
+                tally.containment_tests += tests;
+                tally.probe_nodes += probes;
+                supports
+            }
+            Counter::Vertical(params, kept) => {
+                // A shard's index dies with the shard, so it caches no lists.
+                let params = if whole {
+                    *params
+                } else {
+                    VerticalParams { cache_cap_bytes: 0 }
+                };
+                let mut state = match kept.take() {
+                    Some(state) => state,
+                    None => VerticalState::build_slice(rows, num_ids, params),
+                };
+                let supports = state.count(candidates, threads);
+                state.drain_into(tally);
+                if whole {
+                    *kept = Some(state);
+                }
+                supports
+            }
+            Counter::Bitmap(kept) => {
+                let mut state = match kept.take() {
+                    Some(state) => state,
+                    None => BitmapState::build_slice(rows, num_ids),
+                };
+                let supports = state.count(candidates, threads);
+                state.drain_into(tally);
+                if whole {
+                    *kept = Some(state);
+                }
+                supports
+            }
+        }
+    }
+
+    /// The persistent index over `rows` (the whole table), built on first
+    /// use; `None` for the horizontal strategies.
+    fn index(
+        &mut self,
+        rows: &[TransformedCustomer],
+        num_ids: usize,
+    ) -> Option<&mut dyn OccurrenceIndex> {
+        match self {
+            Counter::Direct | Counter::HashTree(_) => None,
+            Counter::Vertical(params, kept) => {
+                let state = match kept.take() {
+                    Some(state) => state,
+                    None => VerticalState::build_slice(rows, num_ids, *params),
+                };
+                Some(kept.insert(state))
+            }
+            Counter::Bitmap(kept) => {
+                let state = match kept.take() {
+                    Some(state) => state,
+                    None => BitmapState::build_slice(rows, num_ids),
+                };
+                Some(kept.insert(state))
+            }
+        }
+    }
+}
+
+/// What DynamicSome's on-the-fly pass reads from the run's persistent
+/// index, plus the counter drain every index use ends with.
+pub(crate) trait OccurrenceIndex {
+    /// Fills `out` with each customer containing `ids` and the position
+    /// of its earliest match's last element.
+    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>);
+
+    /// Moves the index's counters into `tally` (peaks as a maximum).
+    fn drain_into(&mut self, tally: &mut MiningStats);
+}
+
+impl OccurrenceIndex for VerticalState {
+    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
+        VerticalState::occurrences_of(self, ids, out);
+    }
+
+    fn drain_into(&mut self, tally: &mut MiningStats) {
+        tally.vertical_index_time += std::mem::take(&mut self.index_build_time);
+        tally.join_ops += std::mem::take(&mut self.joins);
+        tally.gallop_skips += std::mem::take(&mut self.gallop_skips);
+        tally.vertical_peak_bytes = tally.vertical_peak_bytes.max(self.peak_bytes);
+    }
+}
+
+impl OccurrenceIndex for BitmapState {
+    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
+        BitmapState::occurrences_of(self, ids, out);
+    }
+
+    fn drain_into(&mut self, tally: &mut MiningStats) {
+        tally.bitmap_index_time += std::mem::take(&mut self.index_build_time);
+        tally.sstep_ops += std::mem::take(&mut self.sstep_ops);
+        tally.lane_words += std::mem::take(&mut self.lane_words);
+        tally.carry_fixups += std::mem::take(&mut self.carry_fixups);
+        tally.bitmap_words = tally.bitmap_words.max(self.index().words());
+    }
+}
+
+/// The walk every scan of the rows goes through: the configured shard size
+/// and the decode-once copy of a non-resident table walked as one range.
+#[derive(Debug, Default)]
+struct Shards {
+    /// Rows per shard; `None` walks the whole table as one range.
+    shard_customers: Option<usize>,
+    cache: ShardScratch,
+    cached: bool,
+}
+
+impl Shards {
+    /// Calls `f` with each shard range's rows in order, whether those rows
+    /// are the whole table, and `tally`, where every load is counted. One
+    /// range: a resident table is borrowed, a non-resident one is decoded
+    /// on the first walk and read from the cache on every later one.
+    /// Several: each range is loaded into scratch in turn.
+    fn for_each_shard(
+        &mut self,
+        ds: &dyn Dataset,
+        tally: &mut MiningStats,
+        mut f: impl FnMut(&[TransformedCustomer], bool, &mut MiningStats),
+    ) {
+        let ranges = shard_ranges(ds.num_rows(), self.shard_customers);
+        if ranges.len() > 1 {
+            let mut scratch = ShardScratch::new();
+            for range in ranges {
+                // seqpat-lint: allow(no-alloc-in-hot-loop) one decode per shard into the reused scratch, not per row
+                let rows = load_counted(ds, range, &mut scratch, tally);
+                f(rows, false, tally);
+            }
+        } else if let Some(rows) = ds.resident() {
+            f(rows, true, tally);
+        } else {
+            if !self.cached {
+                load_counted(ds, 0..ds.num_rows(), &mut self.cache, tally);
+                self.cached = true;
+            }
+            f(self.cache.rows(), true, tally);
+        }
+    }
+}
+
+/// Loads `range` of `ds` into `scratch`, counting the load in `tally`.
+fn load_counted<'a>(
+    ds: &'a dyn Dataset,
+    range: Range<usize>,
+    scratch: &'a mut ShardScratch,
+    tally: &mut MiningStats,
+) -> &'a [TransformedCustomer] {
+    tally.shards_processed += 1;
+    // seqpat-lint: allow(no-io-in-kernels) byte accounting read once per load from shard metadata
+    tally.shard_bytes += ds.shard_bytes(range.start..range.end);
+    // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
+    ds.load_shard(range, scratch)
+}
+
+/// Per-mining-run counting state: the resolved strategy with its
+/// persistent index, the shard walk with its decode-once cache, and the
+/// counters drained from every scan. Create one per run with
+/// [`CountingContext::new`], thread it through every pass, and
+/// [`CountingContext::flush_into`] the run's [`MiningStats`] once at the
+/// end.
 ///
-/// With a shard size set (see [`CountingContext::with_shard_customers`]),
-/// every counting pass streams the dataset shard by shard: each shard's
-/// rows are loaded, its scratch index built, counted, and dropped before
-/// the next shard, so peak memory is proportional to one shard rather than
-/// the whole database — and the per-shard partial counts are summed in
-/// shard order by the same exact-integer reducer that merges per-thread
-/// partials, keeping sharded supports bit-identical to unsharded ones.
+/// With a shard size set (`SequencePhaseOptions::shard_customers`), every
+/// scan streams the dataset shard by shard: each shard's rows are loaded,
+/// its scratch index built, counted, and dropped before the next shard, so
+/// peak memory is proportional to one shard rather than the whole database
+/// — and the per-shard partial counts are summed in shard order, keeping
+/// sharded supports bit-identical to unsharded ones.
 #[derive(Debug)]
 pub struct CountingContext {
-    strategy: CountingStrategy,
-    /// The concrete strategy counts dispatch to: equal to `strategy` when
-    /// explicit, filled by [`auto_decide`] on first use for `Auto`.
-    resolved: Option<CountingStrategy>,
-    auto_decision: Option<AutoDecision>,
-    tree_params: TreeParams,
-    parallelism: Parallelism,
-    vertical_params: VerticalParams,
-    /// Rows per counting shard; `None` counts the whole database at once.
-    shard_customers: Option<usize>,
-    vertical: Option<VerticalState>,
-    bitmap: Option<BitmapState>,
-    /// Decode-once row cache for non-resident backends counted unsharded.
-    whole: ShardScratch,
-    whole_loaded: bool,
-    shard: ShardCounters,
-    /// Exact containment tests executed so far (horizontal strategies and
-    /// the on-the-fly pass).
-    pub containment_tests: u64,
-    /// Flat hash-tree nodes visited by probes so far (thread-invariant:
-    /// the per-customer probe is a pure function of the data).
-    pub probe_nodes: u64,
-    /// Shard loads performed through this context (0 when counting a
-    /// resident database unsharded).
-    pub shards_processed: u64,
-    /// Bytes of customer rows covered by those shard loads.
-    pub shard_bytes: u64,
+    counter: Counter,
+    threads: usize,
+    shards: Shards,
+    /// Counters drained from every scan so far, plus `Auto`'s decision;
+    /// [`CountingContext::flush_into`] moves them into the run's stats.
+    pub(crate) tally: MiningStats,
 }
 
 impl CountingContext {
-    /// A fresh context; no index is built until the first vertical or
-    /// bitmap count, and `Auto` decides on first use.
-    pub fn new(
-        strategy: CountingStrategy,
-        tree_params: TreeParams,
-        parallelism: Parallelism,
-        vertical_params: VerticalParams,
-    ) -> Self {
-        Self {
-            strategy,
-            resolved: None,
-            auto_decision: None,
-            tree_params,
-            parallelism,
-            vertical_params,
-            shard_customers: None,
-            vertical: None,
-            bitmap: None,
-            whole: ShardScratch::new(),
-            whole_loaded: false,
-            shard: ShardCounters::default(),
-            containment_tests: 0,
-            probe_nodes: 0,
-            shards_processed: 0,
-            shard_bytes: 0,
-        }
-    }
-
-    /// Sets the shard size for shard-by-shard counting (builder-style);
-    /// `None` or a size covering the whole dataset counts unsharded.
-    pub fn with_shard_customers(mut self, shard_customers: Option<usize>) -> Self {
-        self.shard_customers = shard_customers;
-        self
-    }
-
-    /// The strategy this context was configured with (possibly `Auto`).
-    pub fn strategy(&self) -> CountingStrategy {
-        self.strategy
-    }
-
-    /// The configured shard size (rows per counting shard), if any.
-    pub fn shard_customers(&self) -> Option<usize> {
-        self.shard_customers
-    }
-
-    /// The concrete strategy counts dispatch to, resolving `Auto` from
-    /// `ds` statistics on first call (the decision then sticks for the
-    /// whole run — the transformed database never changes mid-run).
-    pub fn resolved_strategy(&mut self, ds: &dyn Dataset) -> CountingStrategy {
-        if let Some(resolved) = self.resolved {
-            return resolved;
-        }
-        let resolved = match self.strategy {
-            CountingStrategy::Auto => {
-                let decision = auto_decide_scan(
-                    ds,
-                    self.shard_customers,
-                    &mut self.shards_processed,
-                    &mut self.shard_bytes,
-                );
-                let choice = decision.choice;
-                self.auto_decision = Some(decision);
-                choice
-            }
-            CountingStrategy::Direct
-            | CountingStrategy::HashTree
-            | CountingStrategy::Vertical
-            | CountingStrategy::Bitmap => self.strategy,
+    /// The context for one run over `ds` with `options`' strategy, tree
+    /// shape, threads, vertical knobs and shard size. `Auto` is resolved
+    /// here, by one statistics scan; no index is built until the first
+    /// count that needs it.
+    pub fn new(ds: &dyn Dataset, options: &SequencePhaseOptions) -> Self {
+        let mut shards = Shards {
+            shard_customers: options.shard_customers,
+            ..Shards::default()
         };
-        self.resolved = Some(resolved);
-        resolved
-    }
-
-    /// The full row slice — resident, or decoded once into the context's
-    /// scratch and retained for the rest of the run.
-    fn whole_rows<'a>(&'a mut self, ds: &'a dyn Dataset) -> &'a [TransformedCustomer] {
-        match ds.resident() {
-            Some(rows) => rows,
-            None => {
-                if !self.whole_loaded {
-                    self.whole.clear();
-                    // seqpat-lint: allow(no-io-in-kernels) one whole-table load through the Dataset contract when everything fits in memory
-                    ds.load_shard(0..ds.num_rows(), &mut self.whole);
-                    self.whole_loaded = true;
-                    self.shards_processed += 1;
-                    // seqpat-lint: allow(no-io-in-kernels) byte accounting for the load above, read once from shard metadata
-                    self.shard_bytes += ds.shard_bytes(0..ds.num_rows());
-                }
-                self.whole.rows()
+        let mut tally = MiningStats::default();
+        let counter = match options.counting {
+            CountingStrategy::Direct => Counter::Direct,
+            CountingStrategy::HashTree => Counter::HashTree(options.tree_params),
+            CountingStrategy::Vertical => Counter::Vertical(options.vertical, None),
+            CountingStrategy::Bitmap => Counter::Bitmap(None),
+            CountingStrategy::Auto => {
+                let (counter, decision) = resolve_auto(ds, options, &mut shards, &mut tally);
+                tally.auto_decision = Some(decision);
+                counter
             }
+        };
+        Self {
+            counter,
+            threads: options.parallelism.resolved_threads(),
+            shards,
+            tally,
         }
     }
 
-    /// Counts the support of every candidate in the arena. See
-    /// [`count_supports`] for the contract; unsharded, the vertical
-    /// strategy additionally reuses (and refreshes) the pass-to-pass list
-    /// cache, while a configured shard size routes through the
-    /// shard-by-shard loop (bit-identical supports, O(shard) peak memory).
+    /// The concrete strategy this context counts with (`Auto` resolved).
+    pub fn strategy(&self) -> CountingStrategy {
+        self.counter.strategy()
+    }
+
+    /// Counts the support of every candidate in the arena (see
+    /// [`count_supports`] for the contract), summing the walk's per-shard
+    /// partials in shard order.
     pub fn count(&mut self, ds: &dyn Dataset, candidates: &CandidateArena) -> Vec<u64> {
-        let threads = self.parallelism.resolved_threads();
-        let strategy = self.resolved_strategy(ds);
-        let num_litemsets = ds.table().len();
-        let ranges = shard_ranges(ds.num_rows(), self.shard_customers);
-        if ranges.len() > 1 {
-            return self.count_sharded(ds, candidates, strategy, threads, num_litemsets, ranges);
-        }
-        match strategy {
-            CountingStrategy::Direct => {
-                let rows = self.whole_rows(ds);
-                let (supports, tests) =
-                    count_direct_slice(rows, num_litemsets, candidates, threads);
-                self.containment_tests += tests;
-                supports
+        let mut pass = Pass {
+            candidates,
+            num_ids: ds.table().len(),
+            threads: self.threads,
+            tree: None,
+        };
+        let mut supports = vec![0u64; candidates.num_candidates()];
+        let Self {
+            counter,
+            shards,
+            tally,
+            ..
+        } = self;
+        shards.for_each_shard(ds, tally, |rows, whole, tally| {
+            let partial = counter.count_rows(rows, whole, &mut pass, tally);
+            for (total, part) in supports.iter_mut().zip(partial) {
+                *total += part;
             }
-            CountingStrategy::HashTree => {
-                let tree = SequenceHashTree::build(
-                    candidates,
-                    self.tree_params.fanout,
-                    self.tree_params.leaf_capacity,
-                );
-                let rows = self.whole_rows(ds);
-                let (supports, tests, probes) = probe_hash_tree(rows, &tree, candidates, threads);
-                self.containment_tests += tests;
-                self.probe_nodes += probes;
-                supports
-            }
-            CountingStrategy::Vertical => self.vertical_state(ds).count(candidates, threads),
-            CountingStrategy::Bitmap => self.bitmap_state(ds).count(candidates, threads),
-            // seqpat-lint: allow(no-panic-in-kernels) resolved_strategy maps Auto to a concrete choice before this match, so the arm cannot be reached
-            CountingStrategy::Auto => unreachable!("Auto resolves to a concrete strategy"),
-        }
+        });
+        supports
     }
 
-    /// The shard-by-shard counting loop: per shard, load the rows, count
-    /// them with throwaway scratch state (index builds included), fold the
-    /// scratch counters, and sum the partial supports in shard order. The
-    /// partials feed the reducer lazily, so only one shard's rows and
-    /// index are alive at any time.
-    fn count_sharded(
+    /// The walk for DynamicSome's on-the-fly pass: `f` gets each shard's
+    /// rows, the persistent index when the walk has one range and the
+    /// strategy keeps one (built on first use), and the containment-test
+    /// counter.
+    pub(crate) fn scan(
         &mut self,
         ds: &dyn Dataset,
-        candidates: &CandidateArena,
-        strategy: CountingStrategy,
-        threads: usize,
-        num_litemsets: usize,
-        ranges: Vec<std::ops::Range<usize>>,
-    ) -> Vec<u64> {
-        let n = candidates.num_candidates();
-        // The hash tree depends only on the candidates: built once, probed
-        // over every shard.
-        let tree = match strategy {
-            CountingStrategy::HashTree => Some(SequenceHashTree::build(
-                candidates,
-                self.tree_params.fanout,
-                self.tree_params.leaf_capacity,
-            )),
-            CountingStrategy::Direct
-            | CountingStrategy::Vertical
-            | CountingStrategy::Bitmap
-            | CountingStrategy::Auto => None,
-        };
-        let mut scratch = ShardScratch::new();
-        sum_partials(
-            ranges.into_iter().map(|range| {
-                self.shards_processed += 1;
-                // seqpat-lint: allow(no-alloc-in-hot-loop, no-io-in-kernels) once per shard, not per row; a Range clone is two word copies
-                self.shard_bytes += ds.shard_bytes(range.clone());
-                // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
-                let rows = ds.load_shard(range, &mut scratch);
-                match strategy {
-                    CountingStrategy::Direct => {
-                        let (supports, tests) =
-                            // seqpat-lint: allow(no-alloc-in-hot-loop) counter scratch is sized once per shard, not per row
-                            count_direct_slice(rows, num_litemsets, candidates, threads);
-                        self.containment_tests += tests;
-                        supports
-                    }
-                    CountingStrategy::HashTree => {
-                        let (supports, tests, probes) = match &tree {
-                            // seqpat-lint: allow(no-alloc-in-hot-loop) probe scratch is sized once per shard, not per row
-                            Some(tree) => probe_hash_tree(rows, tree, candidates, threads),
-                            // Unreachable by construction (the tree is
-                            // built above for this strategy); zero counts
-                            // keep the arm panic-free.
-                            // seqpat-lint: allow(no-alloc-in-hot-loop) dead arm kept only to avoid a panic site
-                            None => (vec![0u64; n], 0, 0),
-                        };
-                        self.containment_tests += tests;
-                        self.probe_nodes += probes;
-                        supports
-                    }
-                    CountingStrategy::Vertical => {
-                        // cache_cap_bytes = 0: the state dies with the
-                        // shard, so list retention would only waste the
-                        // shard's memory budget.
-                        // seqpat-lint: allow(no-alloc-in-hot-loop) the vertical index is built once per shard, not per row
-                        let mut state = VerticalState::build_slice(
-                            rows,
-                            num_litemsets,
-                            VerticalParams { cache_cap_bytes: 0 },
-                        );
-                        let supports = state.count(candidates, threads);
-                        self.shard.vertical_index_time += state.index_build_time;
-                        self.shard.joins += state.joins;
-                        self.shard.gallop_skips += state.gallop_skips;
-                        self.shard.vertical_peak_bytes =
-                            self.shard.vertical_peak_bytes.max(state.peak_bytes);
-                        supports
-                    }
-                    CountingStrategy::Bitmap => {
-                        // seqpat-lint: allow(no-alloc-in-hot-loop) the bitmap index is built once per shard, not per row
-                        let mut state = BitmapState::build_slice(rows, num_litemsets);
-                        let supports = state.count(candidates, threads);
-                        self.shard.bitmap_index_time += state.index_build_time;
-                        self.shard.sstep_ops += state.sstep_ops;
-                        self.shard.lane_words += state.lane_words;
-                        self.shard.carry_fixups += state.carry_fixups;
-                        self.shard.bitmap_words =
-                            self.shard.bitmap_words.max(state.index().words());
-                        supports
-                    }
-                    CountingStrategy::Auto => {
-                        // seqpat-lint: allow(no-panic-in-kernels) resolved_strategy maps Auto to a concrete choice before this match, so the arm cannot be reached
-                        unreachable!("Auto resolves to a concrete strategy")
-                    }
-                }
-            }),
-            n,
-        )
+        mut f: impl FnMut(&[TransformedCustomer], Option<&mut dyn OccurrenceIndex>, &mut u64),
+    ) {
+        let num_ids = ds.table().len();
+        let Self {
+            counter,
+            shards,
+            tally,
+            ..
+        } = self;
+        shards.for_each_shard(ds, tally, |rows, whole, tally| {
+            let mut index = if whole {
+                counter.index(rows, num_ids)
+            } else {
+                None
+            };
+            // Reborrowed with a shorter object lifetime, so `index` is free
+            // again for the drain below.
+            let reborrow = index.as_mut().map(|i| &mut **i as &mut dyn OccurrenceIndex);
+            f(rows, reborrow, &mut tally.containment_tests);
+            if let Some(index) = index {
+                index.drain_into(tally);
+            }
+        });
     }
 
-    /// The pass-2 fast path through this context: shard-aware, with shard
-    /// loads recorded in the context's counters. See
+    /// The pass-2 fast path through this context. See
     /// [`large_two_sequences`] for the counting contract.
     pub fn large_two(
         &mut self,
@@ -568,13 +617,11 @@ impl CountingContext {
     }
 
     /// [`CountingContext::large_two`] with the dense-matrix byte cap as a
-    /// parameter. One pair counter serves the whole pass; per shard, rows
-    /// go to the workers in [`PAIR_BATCH_ROWS`] batches, and each worker
-    /// returns its chunk's pair keys, bumped into the counter in chunk
-    /// order, then shard order — exact integer counts, so the totals match
-    /// the unsharded run bit for bit. Shard-load statistics are recorded
-    /// only when rows actually stream (multiple shards, or a non-resident
-    /// backend).
+    /// parameter. One pair counter serves the whole pass; per walk step,
+    /// rows go to the workers in [`PAIR_BATCH_ROWS`] batches, and each
+    /// worker returns its chunk's pair keys, bumped into the counter in
+    /// chunk order, then shard order — exact integer counts, so the totals
+    /// match the unsharded run bit for bit.
     fn large_two_capped(
         &mut self,
         ds: &dyn Dataset,
@@ -582,93 +629,40 @@ impl CountingContext {
         cap_bytes: u64,
     ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
         let n = ds.table().len();
-        let threads = self.parallelism.resolved_threads();
-        let ranges = shard_ranges(ds.num_rows(), self.shard_customers);
-        let streaming = ranges.len() > 1 || ds.resident().is_none();
+        let threads = self.threads;
         let mut counts = PairCounts::new(n, cap_bytes);
-        let mut scratch = ShardScratch::new();
-        for range in ranges {
-            if streaming {
-                self.shards_processed += 1;
-                // seqpat-lint: allow(no-io-in-kernels) byte accounting read once from shard metadata
-                self.shard_bytes += ds.shard_bytes(range.clone());
-            }
-            // seqpat-lint: allow(no-io-in-kernels) shard-granular read through the Dataset contract — the whole point of out-of-core counting
-            let rows = ds.load_shard(range, &mut scratch);
-            for batch in rows.chunks(PAIR_BATCH_ROWS) {
-                let partials = pair_keys(batch, n, threads);
-                for keys in partials {
-                    self.containment_tests += w64(keys.len());
-                    counts.bump(&keys);
+        self.shards
+            .for_each_shard(ds, &mut self.tally, |rows, _, tally| {
+                for batch in rows.chunks(PAIR_BATCH_ROWS) {
+                    let partials = pair_keys(batch, n, threads);
+                    for keys in partials {
+                        tally.containment_tests += w64(keys.len());
+                        counts.bump(&keys);
+                    }
                 }
-            }
-        }
+            });
         (w64(n) * w64(n), counts.into_large(n, min_count))
     }
 
-    /// The vertical state over the whole database, building the occurrence
-    /// index on first use. Valid for any strategy (DynamicSome's
-    /// on-the-fly pass uses it only when the resolved strategy is
-    /// vertical).
-    pub fn vertical_state(&mut self, ds: &dyn Dataset) -> &mut VerticalState {
-        let state = match self.vertical.take() {
-            Some(state) => state,
-            None => {
-                let params = self.vertical_params;
-                let num_litemsets = ds.table().len();
-                let rows = self.whole_rows(ds);
-                VerticalState::build_slice(rows, num_litemsets, params)
-            }
-        };
-        self.vertical.insert(state)
-    }
-
-    /// The bitmap state over the whole database, building the packed index
-    /// on first use.
-    pub fn bitmap_state(&mut self, ds: &dyn Dataset) -> &mut BitmapState {
-        let state = match self.bitmap.take() {
-            Some(state) => state,
-            None => {
-                let num_ids = ds.table().len();
-                let rows = self.whole_rows(ds);
-                BitmapState::build_slice(rows, num_ids)
-            }
-        };
-        self.bitmap.insert(state)
-    }
-
-    /// Adds this run's counters into `stats` (take-semantics: flushing
+    /// Moves this run's counters into `stats` (take-semantics: flushing
     /// twice adds nothing twice).
     pub fn flush_into(&mut self, stats: &mut MiningStats) {
-        stats.containment_tests += std::mem::take(&mut self.containment_tests);
-        stats.probe_nodes += std::mem::take(&mut self.probe_nodes);
-        stats.shards_processed += std::mem::take(&mut self.shards_processed);
-        stats.shard_bytes += std::mem::take(&mut self.shard_bytes);
-        if let Some(state) = &mut self.vertical {
-            stats.vertical_index_time += std::mem::take(&mut state.index_build_time);
-            stats.join_ops += std::mem::take(&mut state.joins);
-            stats.gallop_skips += std::mem::take(&mut state.gallop_skips);
-            stats.vertical_peak_bytes = stats.vertical_peak_bytes.max(state.peak_bytes);
-        }
-        if let Some(state) = &mut self.bitmap {
-            stats.bitmap_index_time += std::mem::take(&mut state.index_build_time);
-            stats.sstep_ops += std::mem::take(&mut state.sstep_ops);
-            stats.lane_words += std::mem::take(&mut state.lane_words);
-            stats.carry_fixups += std::mem::take(&mut state.carry_fixups);
-            stats.bitmap_words = stats.bitmap_words.max(state.index().words());
-        }
-        let shard = std::mem::take(&mut self.shard);
-        stats.vertical_index_time += shard.vertical_index_time;
-        stats.join_ops += shard.joins;
-        stats.gallop_skips += shard.gallop_skips;
-        stats.vertical_peak_bytes = stats.vertical_peak_bytes.max(shard.vertical_peak_bytes);
-        stats.bitmap_index_time += shard.bitmap_index_time;
-        stats.sstep_ops += shard.sstep_ops;
-        stats.lane_words += shard.lane_words;
-        stats.carry_fixups += shard.carry_fixups;
-        stats.bitmap_words = stats.bitmap_words.max(shard.bitmap_words);
-        if self.auto_decision.is_some() {
-            stats.auto_decision = self.auto_decision.take();
+        let tally = std::mem::take(&mut self.tally);
+        stats.containment_tests += tally.containment_tests;
+        stats.probe_nodes += tally.probe_nodes;
+        stats.shards_processed += tally.shards_processed;
+        stats.shard_bytes += tally.shard_bytes;
+        stats.vertical_index_time += tally.vertical_index_time;
+        stats.join_ops += tally.join_ops;
+        stats.gallop_skips += tally.gallop_skips;
+        stats.vertical_peak_bytes = stats.vertical_peak_bytes.max(tally.vertical_peak_bytes);
+        stats.bitmap_index_time += tally.bitmap_index_time;
+        stats.sstep_ops += tally.sstep_ops;
+        stats.lane_words += tally.lane_words;
+        stats.carry_fixups += tally.carry_fixups;
+        stats.bitmap_words = stats.bitmap_words.max(tally.bitmap_words);
+        if tally.auto_decision.is_some() {
+            stats.auto_decision = tally.auto_decision;
         }
     }
 }
@@ -689,32 +683,16 @@ pub fn count_supports(
     parallelism: Parallelism,
     containment_tests: &mut u64,
 ) -> Vec<u64> {
-    let mut ctx = CountingContext::new(
-        strategy,
+    let options = SequencePhaseOptions {
+        counting: strategy,
         tree_params,
         parallelism,
-        VerticalParams::default(),
-    );
+        ..SequencePhaseOptions::default()
+    };
+    let mut ctx = CountingContext::new(ds, &options);
     let supports = ctx.count(ds, candidates);
-    *containment_tests += ctx.containment_tests;
+    *containment_tests += ctx.tally.containment_tests;
     supports
-}
-
-/// Sums per-chunk `(supports, tests)` results in chunk order via the
-/// workspace-wide [`sum_partials`] reducer; exact `u64` addition makes the
-/// totals independent of the chunking.
-fn merge_counts(
-    partials: Vec<(Vec<u64>, u64)>,
-    num_candidates: usize,
-    containment_tests: &mut u64,
-) -> Vec<u64> {
-    sum_partials(
-        partials.into_iter().map(|(partial, tests)| {
-            *containment_tests += tests;
-            partial
-        }),
-        num_candidates,
-    )
 }
 
 /// Direct counting over a row slice (one shard or the whole database).
@@ -772,8 +750,15 @@ fn count_direct_slice(
         }
         (supports, tests)
     });
+    // Chunk order, exact `u64` sums: the totals do not depend on the chunking.
     let mut tests_total = 0u64;
-    let supports = merge_counts(partials, n, &mut tests_total);
+    let supports = sum_partials(
+        partials.into_iter().map(|(partial, tests)| {
+            tests_total += tests;
+            partial
+        }),
+        n,
+    );
     (supports, tests_total)
 }
 
@@ -782,32 +767,31 @@ fn count_direct_slice(
 /// prune vacuous): count every pair `⟨a b⟩` directly while scanning each
 /// customer once, instead of probing millions of candidates through the
 /// hash tree. This mirrors the special-cased second pass of the original
-/// Apriori implementations (a count array instead of a tree). All three
-/// strategies share it, so pass-2 cost is strategy-independent.
+/// Apriori implementations (a count array instead of a tree). Every
+/// strategy uses it, so pass-2 cost is strategy-independent.
 ///
 /// Returns `(number_of_candidate_pairs, large_two_sequences)` with the
 /// large sequences in lexicographic id order. `containment_tests` is
 /// incremented once per distinct `(a, b)` pair observed per customer.
 ///
 /// One-shot entry point over the whole dataset; algorithm code goes
-/// through [`CountingContext::large_two`], which streams shards. Either
-/// way the pass allocates one pair counter (a dense matrix up to 8 192
-/// litemsets, a hash map beyond), and workers hand back pair keys, not
-/// count matrices.
+/// through [`CountingContext::large_two`], which walks the run's shards.
+/// Either way the pass allocates one pair counter (a dense matrix up to
+/// 8 192 litemsets, a hash map beyond), and workers hand back pair keys,
+/// not count matrices.
 pub fn large_two_sequences(
     ds: &dyn Dataset,
     min_count: u64,
     parallelism: Parallelism,
     containment_tests: &mut u64,
 ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-    let mut ctx = CountingContext::new(
-        CountingStrategy::default(),
-        TreeParams::default(),
+    let options = SequencePhaseOptions {
         parallelism,
-        VerticalParams::default(),
-    );
+        ..SequencePhaseOptions::default()
+    };
+    let mut ctx = CountingContext::new(ds, &options);
     let out = ctx.large_two(ds, min_count);
-    *containment_tests += ctx.containment_tests;
+    *containment_tests += ctx.tally.containment_tests;
     out
 }
 
@@ -902,6 +886,10 @@ impl PairCounts {
     fn bump(&mut self, keys: &[usize]) {
         match self {
             PairCounts::Dense(counts) => {
+                // A slice held in registers: bumping through the `Vec`
+                // reloaded its data pointer on every key when the counter
+                // is reached through a closure capture.
+                let counts = counts.as_mut_slice();
                 for &key in keys {
                     debug_assert!(key < counts.len(), "pair keys index the n×n matrix");
                     counts[key] += 1;
@@ -945,8 +933,8 @@ impl PairCounts {
 
 /// Probes a prebuilt hash tree over a row slice (one shard or the whole
 /// database). Returns `(supports, containment_tests, probe_nodes)`; the
-/// tree depends only on the candidate set, so the sharded path builds it
-/// once and probes it over every shard.
+/// tree depends only on the candidate set, so a count builds it once and
+/// probes it over every shard.
 fn probe_hash_tree(
     customers: &[TransformedCustomer],
     tree: &SequenceHashTree,
@@ -974,18 +962,14 @@ fn probe_hash_tree(
         }
         (supports, tests, probes)
     });
-    let mut tests_total = 0u64;
-    let mut probes_total = 0u64;
-    let supports = merge_counts(
-        partials
-            .into_iter()
-            .map(|(supports, tests, probes)| {
-                probes_total += probes;
-                (supports, tests)
-            })
-            .collect(),
+    let (mut tests_total, mut probes_total) = (0u64, 0u64);
+    let supports = sum_partials(
+        partials.into_iter().map(|(partial, tests, probes)| {
+            tests_total += tests;
+            probes_total += probes;
+            partial
+        }),
         n,
-        &mut tests_total,
     );
     (supports, tests_total, probes_total)
 }
@@ -1001,6 +985,14 @@ mod tests {
             rows.first().map_or(0, |r| r.len()),
             rows.iter().map(|r| r.as_slice()),
         )
+    }
+
+    fn options(counting: CountingStrategy, shard_customers: Option<usize>) -> SequencePhaseOptions {
+        SequencePhaseOptions {
+            counting,
+            shard_customers,
+            ..SequencePhaseOptions::default()
+        }
     }
 
     fn tdb() -> TransformedDatabase {
@@ -1152,14 +1144,8 @@ mod tests {
     #[test]
     fn auto_resolution_is_recorded_and_sticks() {
         let db = synth_tdb(100, 8, 4);
-        let mut ctx = CountingContext::new(
-            CountingStrategy::Auto,
-            TreeParams::default(),
-            Parallelism::Serial,
-            VerticalParams::default(),
-        );
-        assert_eq!(ctx.strategy(), CountingStrategy::Auto);
-        assert_eq!(ctx.resolved_strategy(&db), CountingStrategy::Bitmap);
+        let mut ctx = CountingContext::new(&db, &options(CountingStrategy::Auto, None));
+        assert_eq!(ctx.strategy(), CountingStrategy::Bitmap);
         let _ = ctx.count(&db, &arena(&[vec![0, 1]]));
         let mut stats = MiningStats::default();
         ctx.flush_into(&mut stats);
@@ -1213,12 +1199,7 @@ mod tests {
     #[test]
     fn context_flush_moves_counters_into_stats_once() {
         let db = tdb();
-        let mut ctx = CountingContext::new(
-            CountingStrategy::Vertical,
-            TreeParams::default(),
-            Parallelism::Serial,
-            VerticalParams::default(),
-        );
+        let mut ctx = CountingContext::new(&db, &options(CountingStrategy::Vertical, None));
         let supports = ctx.count(&db, &arena(&[vec![0, 1], vec![0, 4]]));
         assert_eq!(supports, vec![2, 2]);
         let mut stats = MiningStats::default();
@@ -1299,21 +1280,68 @@ mod tests {
     #[test]
     fn auto_scan_streams_configured_shards_and_counts_them() {
         let db = synth_tdb(100, 8, 4);
-        let (mut shards, mut bytes) = (0u64, 0u64);
+        let scan = |ds: &dyn Dataset, shard_customers| {
+            let ctx = CountingContext::new(ds, &options(CountingStrategy::Auto, shard_customers));
+            let tally = ctx.tally;
+            (
+                tally.auto_decision,
+                tally.shards_processed,
+                tally.shard_bytes,
+            )
+        };
         // A resident dataset is read in place: no loads to count.
-        let resident = auto_decide_scan(&db, Some(30), &mut shards, &mut bytes);
-        assert_eq!(resident, auto_decide(&db));
+        let (resident, shards, bytes) = scan(&db, Some(30));
+        assert_eq!(resident, Some(auto_decide(&db)));
         assert_eq!((shards, bytes), (0, 0));
-        let streamed = auto_decide_scan(&Streamed(&db), Some(30), &mut shards, &mut bytes);
+        let (streamed, shards, bytes) = scan(&Streamed(&db), Some(30));
         assert_eq!(streamed, resident);
         assert_eq!(shards, 4);
         assert_eq!(bytes, db.shard_bytes(0..100));
-        let (mut shards, mut bytes) = (0u64, 0u64);
-        auto_decide_scan(&Streamed(&db), None, &mut shards, &mut bytes);
+        let (_, shards, _) = scan(&Streamed(&db), None);
         assert_eq!(
             shards, 1,
-            "without a shard size the scan uses SCAN_SHARD_ROWS slices"
+            "without a shard size the scan decodes the whole table once"
         );
+    }
+
+    /// An unsharded run over a non-resident store decodes the table once:
+    /// pass 2, Auto's scan, later passes and DynamicSome's on-the-fly pass
+    /// all read that one copy.
+    #[test]
+    fn unsharded_non_resident_run_decodes_the_table_once() {
+        use crate::algorithms::Algorithm;
+        use crate::miner::{Miner, MinerConfig};
+        use crate::support::MinSupport;
+        let db = synth_tdb(100, 6, 4);
+        let ds = Streamed(&db);
+        for algorithm in [Algorithm::AprioriAll, Algorithm::DynamicSome { step: 2 }] {
+            for strategy in [
+                CountingStrategy::Direct,
+                CountingStrategy::HashTree,
+                CountingStrategy::Vertical,
+                CountingStrategy::Bitmap,
+                CountingStrategy::Auto,
+            ] {
+                let config = MinerConfig::new(MinSupport::Count(20))
+                    .algorithm(algorithm)
+                    .counting(strategy);
+                let streamed = Miner::new(config.clone()).mine_dataset(&ds);
+                let resident = Miner::new(config).mine_dataset(&db);
+                assert_eq!(
+                    streamed.patterns, resident.patterns,
+                    "{algorithm} / {strategy}"
+                );
+                assert!(
+                    streamed.stats.sequence_passes.len() > 2,
+                    "{algorithm} / {strategy}"
+                );
+                assert_eq!(
+                    (streamed.stats.shards_processed, streamed.stats.shard_bytes),
+                    (1, db.shard_bytes(0..db.num_rows())),
+                    "{algorithm} / {strategy}"
+                );
+            }
+        }
     }
 
     /// A resident database seen through the non-resident half of the
@@ -1620,16 +1648,15 @@ mod proptests {
             for cap in [PAIR_DENSE_CAP_BYTES, 0] {
                 for shard in [None, Some(1), Some(3), Some(7)] {
                     for threads in [1usize, 2, 3] {
-                        let mut ctx = CountingContext::new(
-                            CountingStrategy::default(),
-                            TreeParams::default(),
-                            Parallelism::threads(threads),
-                            VerticalParams::default(),
-                        )
-                        .with_shard_customers(shard);
+                        let options = SequencePhaseOptions {
+                            parallelism: Parallelism::threads(threads),
+                            shard_customers: shard,
+                            ..SequencePhaseOptions::default()
+                        };
+                        let mut ctx = CountingContext::new(&db, &options);
                         let (candidates, large) = ctx.large_two_capped(&db, min_count, cap);
                         prop_assert_eq!(
-                            (candidates, large, ctx.containment_tests),
+                            (candidates, large, ctx.tally.containment_tests),
                             expected.clone(),
                             "cap {} shard {:?} threads {}", cap, shard, threads
                         );

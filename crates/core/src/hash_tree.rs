@@ -34,6 +34,7 @@ use crate::arena::CandidateArena;
 use crate::cast::{id32, idx};
 use crate::contain::customer_contains;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
+use seqpat_itemset::hash_tree::VisitStamps;
 
 /// Tag in [`FlatNode::len`] marking an interior node (a leaf can never
 /// reach it: candidate slots are `u32` indices, so a leaf holds fewer than
@@ -169,7 +170,7 @@ impl SequenceHashTree {
             !self.nodes.is_empty(),
             "a flattened tree always has a root at node 0"
         );
-        seen.next_epoch();
+        seen.stamps.next_epoch();
         // Move the scratch out so the loop can stamp `seen` while pushing;
         // moved back below — the buffer (and its capacity) survives across
         // customers either way.
@@ -185,7 +186,7 @@ impl SequenceHashTree {
             let node = self.nodes[idx(ni)];
             if node.len != INTERIOR {
                 for &id in &self.leaf_ids[idx(node.start)..idx(node.start) + idx(node.len)] {
-                    if seen.first_visit(id) {
+                    if seen.stamps.first_visit(id) {
                         *verify_calls += 1;
                         if customer_contains(customer, candidates.get(idx(id))) {
                             on_match(id);
@@ -256,13 +257,13 @@ fn insert(
 }
 
 /// Epoch-stamped visited set over candidate indices (one epoch per
-/// customer), so a candidate reachable along many tree paths is verified
-/// once per customer. Also owns the probe's work-stack scratch, so the
-/// iterative walk reuses one buffer across every customer of a pass.
+/// customer, via the itemset tree's [`VisitStamps`]), so a candidate
+/// reachable along many tree paths is verified once per customer. Also
+/// owns the probe's work-stack scratch, so the iterative walk reuses one
+/// buffer across every customer of a pass.
 #[derive(Debug)]
 pub struct VisitSet {
-    stamps: Vec<u64>,
-    epoch: u64,
+    stamps: VisitStamps,
     /// `(node index, transaction cursor)` work stack of the flat probe.
     stack: Vec<(u32, u32)>,
 }
@@ -271,24 +272,8 @@ impl VisitSet {
     /// Creates a set for `n` candidates.
     pub fn new(n: usize) -> Self {
         Self {
-            stamps: vec![0; n],
-            epoch: 0,
+            stamps: VisitStamps::new(n),
             stack: Vec::new(),
-        }
-    }
-
-    fn next_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn first_visit(&mut self, cand: u32) -> bool {
-        debug_assert!(idx(cand) < self.stamps.len(), "one stamp per candidate");
-        let slot = &mut self.stamps[idx(cand)];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
         }
     }
 }

@@ -195,7 +195,6 @@ impl Miner {
         apriori.parallelism = self.config.parallelism;
         let lit = litemset_phase(db, min_count, &apriori);
         stats.litemset_time = t0.elapsed();
-        stats.num_litemsets = lit.table.len() as u64;
         stats.litemset_passes = lit.passes;
 
         let t1 = Stopwatch::start();
@@ -241,6 +240,7 @@ impl Miner {
             shard_customers: self.config.shard_customers,
         };
         stats.threads_used = self.config.parallelism.resolved_threads();
+        stats.num_litemsets = ds.table().len() as u64;
 
         let t2 = Stopwatch::start();
         let large: Vec<LargeIdSequence> = match self.config.algorithm {
@@ -349,6 +349,17 @@ mod tests {
         let p = &result.patterns[0];
         let f = result.support_fraction(p);
         assert!((f - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn num_litemsets_is_set_on_every_entry_point() {
+        let db = paper_db();
+        let miner = Miner::new(MinerConfig::new(MinSupport::Fraction(0.25)));
+        let lit = litemset_phase(&db, 2, &Default::default());
+        let tdb = transform_phase(&db, lit.table);
+        assert_eq!(miner.mine(&db).stats.num_litemsets, 5);
+        assert_eq!(miner.mine_transformed(&tdb).stats.num_litemsets, 5);
+        assert_eq!(miner.mine_dataset(&tdb).stats.num_litemsets, 5);
     }
 
     #[test]

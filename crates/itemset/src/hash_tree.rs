@@ -239,12 +239,14 @@ impl VisitStamps {
     }
 
     /// Starts a new epoch; all candidates become unvisited.
+    #[inline]
     pub fn next_epoch(&mut self) {
         self.epoch += 1;
     }
 
     /// Marks `cand` visited in the current epoch; returns `true` iff this is
     /// the first visit this epoch.
+    #[inline]
     pub fn first_visit(&mut self, cand: u32) -> bool {
         debug_assert!(idx(cand) < self.stamps.len(), "one stamp per candidate");
         let slot = &mut self.stamps[idx(cand)];

@@ -54,7 +54,7 @@ echo "==> e2ebench build + tests (separate package, path deps on the crates)"
 # benchmark driver does. Same target dir as e2ebench/run.py.
 CARGO_TARGET_DIR=.bench_build cargo test --release -q --manifest-path e2ebench/Cargo.toml
 
-echo "==> shard smoke (mmap backend, 3-customer shards, diff vs mem backend)"
+echo "==> shard smoke (mmap backend, 3-customer shards and unsharded, diff vs mem backend)"
 # End-to-end out-of-core check through the CLI: generate a tiny dataset,
 # build its colstore, and require the sharded mmap-backend mine to print
 # byte-identical output to the in-memory mine.
@@ -74,6 +74,18 @@ cargo run --release -q -p seqpat-cli -- mine \
 # Guard against a vacuous pass: an empty pattern list would diff clean.
 [ -s "$smoke/mem.txt" ] || { echo "shard smoke: no patterns mined" >&2; exit 1; }
 diff "$smoke/mem.txt" "$smoke/mmap.txt"
+# Unsharded over the store: Auto's scan, pass 2 and the later passes must
+# all read one decoded copy of the table, so --stats reports one load.
+cargo run --release -q -p seqpat-cli -- mine \
+  --in "$smoke/tiny.colstore" --minsup 0.05 --max-length 4 \
+  --backend mmap --strategy auto --stats \
+  > "$smoke/mmap-whole.txt" 2> "$smoke/mmap-whole.stats"
+diff "$smoke/mem.txt" "$smoke/mmap-whole.txt"
+grep -q "shards: 1 processed" "$smoke/mmap-whole.stats" || {
+  echo "shard smoke: unsharded mmap mine did not decode the table exactly once" >&2
+  cat "$smoke/mmap-whole.stats" >&2
+  exit 1
+}
 echo "shard smoke: mem and mmap outputs identical ($(wc -l < "$smoke/mem.txt") patterns)"
 
 echo "==> serve smoke (gen → mine → index → query, trie vs oracle diff)"
