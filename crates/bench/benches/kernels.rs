@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqpat_core::bitmap::{smear_and_words, sstep, support_hits_words};
 use seqpat_core::contain::{customer_contains, id_subsequence, sequence_contains};
-use seqpat_core::hash_tree::{SequenceHashTree, VisitSet};
+use seqpat_core::hash_tree::{ProbeScratch, SequenceHashTree};
 use seqpat_core::types::transformed::{LitemsetTable, TransformedCustomer, TransformedDatabase};
 use seqpat_core::vertical::VerticalState;
 use seqpat_core::{BitmapState, CandidateArena, Itemset, VerticalParams};
@@ -72,15 +72,16 @@ fn bench_customer_contains(c: &mut Criterion) {
 
 fn bench_sequence_hash_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("sequence_hash_tree");
+    let universe = 128;
     for n_candidates in [256usize, 2048] {
         let mut rnd = pseudo_random(23);
         let mut candidates: Vec<Vec<u32>> = (0..n_candidates)
-            .map(|_| (0..3).map(|_| rnd(128)).collect())
+            .map(|_| (0..3).map(|_| rnd(universe)).collect())
             .collect();
         candidates.sort();
         candidates.dedup();
         let candidates = CandidateArena::from_rows(3, candidates.iter().map(|c| c.as_slice()));
-        let customer = make_customer(15, 4, 128);
+        let customer = make_customer(15, 4, universe);
         group.bench_with_input(
             BenchmarkId::new("build", n_candidates),
             &candidates,
@@ -91,7 +92,7 @@ fn bench_sequence_hash_tree(c: &mut Criterion) {
             BenchmarkId::new("probe", n_candidates),
             &candidates,
             |b, cands| {
-                let mut seen = VisitSet::new(cands.num_candidates());
+                let mut seen = ProbeScratch::new(universe as usize);
                 b.iter(|| {
                     let mut verify = 0u64;
                     let mut probes = 0u64;

@@ -40,6 +40,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if Flags::asks_for_help(rest) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "gen" => cmd_gen(rest),
         "mine" => cmd_mine(rest),
@@ -83,6 +87,13 @@ mine --index-out FILE writes a SEQPATS1 prefix-trie index for query/serve";
 struct Flags(Vec<(String, Option<String>)>);
 
 impl Flags {
+    /// True when a subcommand's arguments contain `--help` or `-h`. Checked
+    /// before [`Flags::parse`], which would read `--help` as a flag missing
+    /// its value and reject `-h` as not a `--flag`.
+    fn asks_for_help(args: &[String]) -> bool {
+        args.iter().any(|a| a == "--help" || a == "-h")
+    }
+
     fn parse(args: &[String], switches: &[&str]) -> Result<Self, String> {
         let mut out = Vec::new();
         let mut iter = args.iter();
@@ -552,6 +563,16 @@ mod tests {
         assert!(Flags::parse(&args, &[]).is_err());
         let args = vec!["--in".to_string()];
         assert!(Flags::parse(&args, &[]).is_err());
+    }
+
+    #[test]
+    fn help_flag_is_a_help_request_not_a_flag_missing_its_value() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(Flags::asks_for_help(&args(&["--help"])));
+        assert!(Flags::asks_for_help(&args(&["-h"])));
+        assert!(Flags::asks_for_help(&args(&["--in", "x.spmf", "--help"])));
+        assert!(!Flags::asks_for_help(&args(&["--in", "x.spmf", "--stats"])));
+        assert!(!Flags::asks_for_help(&[]));
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! horizontal strategies shard each walk step's rows into contiguous chunks
 //! via [`seqpat_itemset::parallel::map_chunks`]: every worker owns a private
 //! support array plus private scratch (the presence bitmap for `Direct`,
-//! a [`VisitSet`] for `HashTree` — the [`SequenceHashTree`] itself is
+//! a [`ProbeScratch`] for `HashTree` — the [`SequenceHashTree`] itself is
 //! built once per count and shared immutably), and the per-chunk arrays and
 //! test counters are reduced in chunk order. The vertical strategy shards
 //! **candidates** (prefix runs) instead — see [`crate::vertical`]. Since
@@ -73,7 +73,7 @@ use crate::cast::{id32, idx, w64};
 use crate::contain::customer_contains;
 use crate::dataset::{shard_ranges, Dataset, ShardScratch};
 use crate::fxhash::FxHashMap;
-use crate::hash_tree::{SequenceHashTree, VisitSet};
+use crate::hash_tree::{ProbeScratch, SequenceHashTree};
 use crate::stats::MiningStats;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
 use crate::vertical::{Occurrence, VerticalParams, VerticalState};
@@ -330,7 +330,8 @@ impl Counter {
                         SequenceHashTree::build(candidates, params.fanout, params.leaf_capacity)
                     }
                 };
-                let (supports, tests, probes) = probe_hash_tree(rows, &tree, candidates, threads);
+                let (supports, tests, probes) =
+                    probe_hash_tree(rows, &tree, num_ids, candidates, threads);
                 pass.tree = Some(tree);
                 tally.containment_tests += tests;
                 tally.probe_nodes += probes;
@@ -938,6 +939,7 @@ impl PairCounts {
 fn probe_hash_tree(
     customers: &[TransformedCustomer],
     tree: &SequenceHashTree,
+    num_litemsets: usize,
     candidates: &CandidateArena,
     threads: usize,
 ) -> (Vec<u64>, u64, u64) {
@@ -946,12 +948,12 @@ fn probe_hash_tree(
         let mut supports = vec![0u64; n];
         let mut tests = 0u64;
         let mut probes = 0u64;
-        let mut seen = VisitSet::new(n);
+        let mut scratch = ProbeScratch::new(num_litemsets);
         for customer in chunk {
             tree.for_each_contained(
                 customer,
                 candidates,
-                &mut seen,
+                &mut scratch,
                 &mut tests,
                 &mut probes,
                 &mut |id| {

@@ -3,13 +3,24 @@
 //! The sequence-phase analogue of the Apriori itemset hash tree: interior
 //! nodes hash on the litemset id at the node's depth; leaves hold candidate
 //! indices. To find the candidates contained in a transformed customer
-//! sequence, the probe explores, at each interior node, every `(transaction,
-//! id)` pair that could match the next candidate position — advancing the
-//! transaction cursor strictly, because consecutive sequence elements must
-//! come from distinct, later transactions. Leaf hits are verified with the
-//! exact containment test against the full customer sequence (hash
-//! collisions make path information insufficient, exactly as in the itemset
-//! tree).
+//! sequence, the probe descends from an interior node into each child
+//! bucket that some `(transaction, id)` pair after the node's transaction
+//! cursor hashes to, and gives that child the **earliest** such
+//! transaction plus one as its cursor, because consecutive sequence
+//! elements must come from distinct, later transactions. Greedy earliest
+//! matching is exact for subsequence existence: a later cursor can only
+//! shrink what the subtree can still match, so the earliest one reaches
+//! every leaf any other choice would. Since each node has one parent and
+//! is pushed at most once by it, every node is visited **at most once**
+//! per customer, and since each candidate lives in one leaf, each
+//! candidate is considered at most once — no visited-set deduplication is
+//! needed.
+//!
+//! At a leaf, a candidate using a litemset id the customer never bought is
+//! skipped (the presence check `Direct` counting also makes); the rest are
+//! verified with the exact containment test against the full customer
+//! sequence (hash collisions make path information insufficient, exactly as
+//! in the itemset tree).
 //!
 //! ## Probe micro-architecture (see DESIGN.md "Kernel micro-architecture")
 //!
@@ -18,23 +29,20 @@
 //! into three flat arrays in depth-first pre-order (`FlatNode`): a node
 //! table, a child-index table (`fanout` slots per interior node), and a
 //! concatenated leaf-candidate pool. The probe is an **iterative** loop
-//! over an explicit work stack (scratch retained in [`VisitSet`], so a
-//! customer probe allocates nothing in the steady state): popping a node is
-//! one table load instead of a pointer chase through heap-scattered enum
-//! nodes, subtrees are depth-first contiguous so a descent walks forward
-//! through one cache stream, and there is no call overhead per visited
-//! node. The multiset of visited `(node, cursor)` states is identical to
-//! the recursive walk's — only the visit *order* changes, which the
-//! epoch-deduplication already makes unobservable — so matches, support
-//! counts, and the `verify_calls` counter are bit-identical. Visits are
-//! counted in `probe_nodes` (a per-customer pure function of the data,
-//! hence thread-invariant under customer sharding).
+//! over an explicit work stack: popping a node is one table load instead of
+//! a pointer chase through heap-scattered enum nodes, subtrees are
+//! depth-first contiguous so a descent walks forward through one cache
+//! stream, and there is no call overhead per visited node. The stack, the
+//! per-node bucket flags and the id-presence flags live in
+//! [`ProbeScratch`], so a customer probe allocates nothing in the steady
+//! state. Visits are counted in `probe_nodes` and containment tests in
+//! `verify_calls`, each a per-customer pure function of the data, hence
+//! thread-invariant under customer sharding.
 
 use crate::arena::CandidateArena;
 use crate::cast::{id32, idx};
 use crate::contain::customer_contains;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
-use seqpat_itemset::hash_tree::VisitStamps;
 
 /// Tag in [`FlatNode::len`] marking an interior node (a leaf can never
 /// reach it: candidate slots are `u32` indices, so a leaf holds fewer than
@@ -82,17 +90,9 @@ impl SequenceHashTree {
             candidates.candidate_len()
         };
         let mut root = Node::Leaf(Vec::new());
-        for (i, cand) in candidates.iter().enumerate() {
+        for slot in 0..candidates.num_candidates() {
             // seqpat-lint: allow(no-alloc-in-hot-loop) tree construction allocates per split; the probe path is allocation-free
-            insert(
-                &mut root,
-                cand,
-                id32(i),
-                0,
-                fanout,
-                leaf_capacity,
-                candidates,
-            );
+            insert(&mut root, id32(slot), candidates, fanout, leaf_capacity);
         }
         let mut tree = Self {
             nodes: Vec::new(),
@@ -150,15 +150,16 @@ impl SequenceHashTree {
     }
 
     /// Calls `on_match(candidate_index)` for every candidate contained in
-    /// `customer`. Each contained candidate is reported **exactly once**
-    /// (deduplication is internal); `verify_calls` is incremented once per
-    /// exact containment test executed and `probe_nodes` once per flat node
-    /// visited, feeding the harness's machine-independent counters.
+    /// `customer`. Each contained candidate is reported **exactly once**;
+    /// `verify_calls` is incremented once per exact containment test
+    /// executed and `probe_nodes` once per flat node visited, feeding the
+    /// harness's machine-independent counters. `scratch` must be sized for
+    /// every litemset id the customer and the candidates use.
     pub fn for_each_contained(
         &self,
         customer: &TransformedCustomer,
         candidates: &CandidateArena,
-        seen: &mut VisitSet,
+        scratch: &mut ProbeScratch,
         verify_calls: &mut u64,
         probe_nodes: &mut u64,
         on_match: &mut impl FnMut(u32),
@@ -170,11 +171,15 @@ impl SequenceHashTree {
             !self.nodes.is_empty(),
             "a flattened tree always has a root at node 0"
         );
-        seen.stamps.next_epoch();
-        // Move the scratch out so the loop can stamp `seen` while pushing;
-        // moved back below — the buffer (and its capacity) survives across
-        // customers either way.
-        let mut stack = std::mem::take(&mut seen.stack);
+        let ProbeScratch {
+            present,
+            pushed,
+            stack,
+        } = scratch;
+        for &id in customer.elements.iter().flatten() {
+            present[idx(id)] = true;
+        }
+        pushed.resize(self.fanout, false);
         stack.clear();
         stack.push((0u32, 0u32));
         while let Some((ni, cursor)) = stack.pop() {
@@ -186,23 +191,33 @@ impl SequenceHashTree {
             let node = self.nodes[idx(ni)];
             if node.len != INTERIOR {
                 for &id in &self.leaf_ids[idx(node.start)..idx(node.start) + idx(node.len)] {
-                    if seen.stamps.first_visit(id) {
+                    let cand = candidates.get(idx(id));
+                    if cand.iter().all(|&l| present[idx(l)]) {
                         *verify_calls += 1;
-                        if customer_contains(customer, candidates.get(idx(id))) {
+                        if customer_contains(customer, cand) {
                             on_match(id);
                         }
                     }
                 }
             } else {
+                // Each child bucket once, at the earliest transaction with
+                // an id hashing to it.
                 let kids = &self.children[idx(node.start)..idx(node.start) + self.fanout];
+                pushed.fill(false);
                 for t in idx(cursor)..customer.elements.len() {
                     for &lid in &customer.elements[t] {
-                        stack.push((kids[bucket(lid, self.fanout)], id32(t + 1)));
+                        let b = bucket(lid, self.fanout);
+                        if !pushed[b] {
+                            pushed[b] = true;
+                            stack.push((kids[b], id32(t + 1)));
+                        }
                     }
                 }
             }
         }
-        seen.stack = stack;
+        for &id in customer.elements.iter().flatten() {
+            present[idx(id)] = false;
+        }
     }
 }
 
@@ -210,69 +225,56 @@ fn bucket(id: LitemsetId, fanout: usize) -> usize {
     idx(id.wrapping_mul(2654435761)) % fanout
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Inserts candidate `slot`: descends by the id at each depth to a leaf,
+/// and splits the leaf on the id at its depth once it outgrows
+/// `leaf_capacity` (a leaf at the candidate length never splits).
 fn insert(
-    node: &mut Node,
-    cand: &[LitemsetId],
+    root: &mut Node,
     slot: u32,
-    depth: usize,
+    candidates: &CandidateArena,
     fanout: usize,
     leaf_capacity: usize,
-    candidates: &CandidateArena,
 ) {
     debug_assert!(
-        depth <= cand.len(),
-        "interior nodes only exist above the candidate length, so the depth cursor stays in range"
+        idx(slot) < candidates.num_candidates(),
+        "slots index the arena; interior nodes sit above the candidate length and carry fanout children, so the descent's indices stay in range"
     );
-    match node {
-        Node::Interior(children) => {
-            let b = bucket(cand[depth], fanout);
-            insert(
-                &mut children[b],
-                cand,
-                slot,
-                depth + 1,
-                fanout,
-                leaf_capacity,
-                candidates,
-            );
-        }
-        Node::Leaf(ids) => {
-            ids.push(slot);
-            if ids.len() > leaf_capacity && depth < cand.len() {
-                let old = std::mem::take(ids);
-                // seqpat-lint: allow(no-alloc-in-hot-loop) Vec::new() is capacity-0 (no heap allocation) and the split path is cold — it runs once per overflowing leaf, not per insert
-                let mut children: Vec<Node> = (0..fanout).map(|_| Node::Leaf(Vec::new())).collect();
-                for id in old {
-                    match &mut children[bucket(candidates.get(idx(id))[depth], fanout)] {
-                        Node::Leaf(v) => v.push(id),
-                        // seqpat-lint: allow(no-panic-in-kernels) every child was created as a leaf two lines up and nothing re-splits them before this loop ends
-                        Node::Interior(_) => unreachable!(),
-                    }
-                }
-                *node = Node::Interior(children);
+    let cand = candidates.get(idx(slot));
+    let (mut node, mut depth) = (root, 0);
+    while let Node::Interior(children) = node {
+        node = &mut children[bucket(cand[depth], fanout)];
+        depth += 1;
+    }
+    if let Node::Leaf(ids) = node {
+        ids.push(slot);
+        if ids.len() > leaf_capacity && depth < cand.len() {
+            let mut kids = vec![Vec::new(); fanout];
+            for id in ids.drain(..) {
+                kids[bucket(candidates.get(idx(id))[depth], fanout)].push(id);
             }
+            *node = Node::Interior(kids.into_iter().map(Node::Leaf).collect());
         }
     }
 }
 
-/// Epoch-stamped visited set over candidate indices (one epoch per
-/// customer, via the itemset tree's [`VisitStamps`]), so a candidate
-/// reachable along many tree paths is verified once per customer. Also
-/// owns the probe's work-stack scratch, so the iterative walk reuses one
-/// buffer across every customer of a pass.
+/// Per-worker probe scratch, reused across every customer of a pass: the
+/// id-presence flags of the current customer (sized from the litemset
+/// alphabet once, cleared per customer over the customer's own ids), the
+/// interior node's child-bucket flags, and the `(node index, transaction
+/// cursor)` work stack of the flat probe.
 #[derive(Debug)]
-pub struct VisitSet {
-    stamps: VisitStamps,
-    /// `(node index, transaction cursor)` work stack of the flat probe.
+pub struct ProbeScratch {
+    present: Vec<bool>,
+    pushed: Vec<bool>,
     stack: Vec<(u32, u32)>,
 }
 
-impl VisitSet {
-    /// Creates a set for `n` candidates.
-    pub fn new(n: usize) -> Self {
+impl ProbeScratch {
+    /// Creates scratch for litemset ids below `num_ids`.
+    pub fn new(num_ids: usize) -> Self {
         Self {
-            stamps: VisitStamps::new(n),
+            present: vec![false; num_ids],
+            pushed: Vec::new(),
             stack: Vec::new(),
         }
     }
@@ -296,12 +298,18 @@ mod tests {
         )
     }
 
+    /// One past the largest litemset id in `cands` or `c`.
+    fn alphabet(cands: &CandidateArena, c: &TransformedCustomer) -> usize {
+        let ids = cands.iter().flatten().chain(c.elements.iter().flatten());
+        ids.map(|&id| idx(id) + 1).max().unwrap_or(0)
+    }
+
     fn matched(
         tree: &SequenceHashTree,
         cands: &CandidateArena,
         c: &TransformedCustomer,
     ) -> Vec<u32> {
-        let mut seen = VisitSet::new(cands.num_candidates());
+        let mut seen = ProbeScratch::new(alphabet(cands, c));
         let mut verify = 0;
         let mut probes = 0;
         let mut out = Vec::new();
@@ -415,7 +423,7 @@ mod tests {
     fn short_customer_prefiltered() {
         let cands = arena(&[vec![0, 1, 2]]);
         let tree = SequenceHashTree::build(&cands, 4, 2);
-        let mut seen = VisitSet::new(1);
+        let mut seen = ProbeScratch::new(3);
         let mut verify = 0;
         let mut probes = 0;
         let c = customer(vec![vec![0, 1, 2]]); // 1 transaction < candidate len 3
@@ -427,12 +435,37 @@ mod tests {
     }
 
     #[test]
+    fn deeper_buckets_are_entered_only_from_later_transactions() {
+        // Leaf capacity 1 splits the root on the first id (all go to
+        // bucket(1)) and that child on the second id: 9 nodes, 3 levels.
+        let cands = arena(&[vec![1, 1], vec![1, 2], vec![1, 3]]);
+        let tree = SequenceHashTree::build(&cands, 4, 1);
+        assert_eq!(tree.nodes.len(), 9);
+        // 1 and 2 share transaction 0, so only ⟨1 3⟩ can match. The depth-1
+        // node is entered with cursor 1 and descends on id 3 alone: root,
+        // three root children (ids 1, 2, 3) and the ⟨1 3⟩ leaf.
+        let c = customer(vec![vec![1, 2], vec![3]]);
+        let mut seen = ProbeScratch::new(4);
+        let (mut verify, mut probes) = (0, 0);
+        let mut hits = Vec::new();
+        tree.for_each_contained(&c, &cands, &mut seen, &mut verify, &mut probes, &mut |id| {
+            hits.push(id)
+        });
+        assert_eq!(hits, vec![2]);
+        assert_eq!(
+            verify, 1,
+            "⟨1 1⟩ and ⟨1 2⟩ sit in leaves the probe never enters"
+        );
+        assert_eq!(probes, 5);
+    }
+
+    #[test]
     fn each_candidate_verified_at_most_once_per_customer() {
         let cands = arena(&[vec![3, 3]]);
         let tree = SequenceHashTree::build(&cands, 4, 1);
         // Id 3 occurs in four transactions → many tree paths.
         let c = customer(vec![vec![3], vec![3], vec![3], vec![3]]);
-        let mut seen = VisitSet::new(1);
+        let mut seen = ProbeScratch::new(4);
         let mut verify = 0;
         let mut probes = 0;
         let mut hits = 0;
@@ -442,5 +475,94 @@ mod tests {
         assert_eq!(hits, 1);
         assert_eq!(verify, 1);
         assert!(probes >= 1, "the probe visits at least the root");
+    }
+}
+
+/// Property test of the pruned probe on multi-level trees: alphabets larger
+/// than the fanout, small leaves, and customers that repeat ids across
+/// transactions (so many tree paths lead to the same leaf).
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::cast::w64;
+    use proptest::prelude::*;
+
+    const HOT: usize = 6;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn probe_matches_linear_scan_and_stays_within_its_bounds(
+            shape in (0usize..3, 1u32..60, 1usize..5, 1usize..5),
+            raw_hot in proptest::collection::vec(0u32..10_000, HOT),
+            raw_cands in proptest::collection::vec(
+                (0u32..10_000, 0u32..10_000, 0u32..10_000, 0u32..10_000),
+                0..80,
+            ),
+            raw_customers in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0u32..10_000, 1..5), 0..9),
+                1..6,
+            ),
+        ) {
+            let (fanout_pick, extra_ids, leaf_capacity, cand_len) = shape;
+            let fanout = [2usize, 16, 64][fanout_pick];
+            let num_ids = id32(fanout) + extra_ids;
+            // Two draws in three come from a small hot set, so customers
+            // repeat ids across transactions and candidates often match.
+            let id = |r: u32| {
+                if r.is_multiple_of(3) {
+                    r / 3 % num_ids
+                } else {
+                    raw_hot[idx(r) % HOT] % num_ids
+                }
+            };
+            let mut rows: Vec<Vec<LitemsetId>> = raw_cands
+                .iter()
+                .map(|&(a, b, c, d)| [a, b, c, d][..cand_len].iter().map(|&r| id(r)).collect())
+                .collect();
+            rows.sort();
+            rows.dedup();
+            let cands = CandidateArena::from_rows(cand_len, rows.iter().map(|r| r.as_slice()));
+            let tree = SequenceHashTree::build(&cands, fanout, leaf_capacity);
+            let mut scratch = ProbeScratch::new(idx(num_ids));
+            for raw in &raw_customers {
+                let elements: Vec<Vec<LitemsetId>> = raw
+                    .iter()
+                    .map(|t| {
+                        let mut e: Vec<LitemsetId> = t.iter().map(|&r| id(r)).collect();
+                        e.sort_unstable();
+                        e.dedup();
+                        e
+                    })
+                    .collect();
+                let c = TransformedCustomer { customer_id: 0, elements };
+                let (mut verify, mut probes) = (0u64, 0u64);
+                let mut reported = Vec::new();
+                tree.for_each_contained(&c, &cands, &mut scratch, &mut verify, &mut probes, &mut |i| {
+                    reported.push(i)
+                });
+                let reported_count = reported.len();
+                reported.sort_unstable();
+                reported.dedup();
+                prop_assert_eq!(reported.len(), reported_count, "a candidate was reported twice");
+                let brute: Vec<u32> = cands
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, cand)| customer_contains(&c, cand))
+                    .map(|(i, _)| id32(i))
+                    .collect();
+                prop_assert_eq!(&reported, &brute);
+                let all_present = cands
+                    .iter()
+                    .filter(|cand| cand.iter().all(|l| c.elements.iter().any(|e| e.contains(l))))
+                    .count();
+                prop_assert!(verify <= w64(all_present), "{verify} tests > {all_present} present");
+                prop_assert!(
+                    probes <= w64(tree.nodes.len()),
+                    "{probes} visits > {} nodes",
+                    tree.nodes.len()
+                );
+            }
+        }
     }
 }

@@ -88,6 +88,33 @@ grep -q "shards: 1 processed" "$smoke/mmap-whole.stats" || {
 }
 echo "shard smoke: mem and mmap outputs identical ($(wc -l < "$smoke/mem.txt") patterns)"
 
+echo "==> hash-tree smoke (hashtree vs direct counting, multi-level tree)"
+# The sequence hash tree splits a leaf past 32 candidates (its default
+# capacity). At this size and minsup pass 3 counts a few hundred
+# candidates, so the probe walks interior nodes; its patterns must be
+# byte-identical to Direct's presence-filtered scan.
+hsmoke=target/ci-results/hashtree-smoke
+mkdir -p "$hsmoke"
+cargo run --release -q -p seqpat-cli -- gen \
+  --out "$hsmoke/data.spmf" --customers 2000 --seed 3
+cargo run --release -q -p seqpat-cli -- mine \
+  --in "$hsmoke/data.spmf" --minsup 0.005 --strategy hashtree --stats \
+  > "$hsmoke/hashtree.txt" 2> "$hsmoke/hashtree.stats"
+cargo run --release -q -p seqpat-cli -- mine \
+  --in "$hsmoke/data.spmf" --minsup 0.005 --strategy direct \
+  > "$hsmoke/direct.txt" 2> /dev/null
+[ -s "$hsmoke/hashtree.txt" ] || { echo "hash-tree smoke: no patterns mined" >&2; exit 1; }
+diff "$hsmoke/hashtree.txt" "$hsmoke/direct.txt"
+# Guard against a one-leaf tree: some pass k >= 3 must count more than 32
+# candidates ("pass k=3: generated N  counted M ...").
+awk '/pass k=/ { k = substr($2, 3, length($2) - 3) + 0; if (k >= 3 && $6 > 32) big = 1 }
+     END { exit !big }' "$hsmoke/hashtree.stats" || {
+  echo "hash-tree smoke: no pass counted more than one leaf of candidates" >&2
+  cat "$hsmoke/hashtree.stats" >&2
+  exit 1
+}
+echo "hash-tree smoke: hashtree and direct outputs identical ($(wc -l < "$hsmoke/hashtree.txt") patterns)"
+
 echo "==> serve smoke (gen → mine → index → query, trie vs oracle diff)"
 # End-to-end serving check through the CLI: mine an index, sample a query
 # workload from it, and require the trie's answers to be byte-identical to
