@@ -151,10 +151,11 @@ fn bench_itemset_hash_tree(c: &mut Criterion) {
         t.dedup();
         t
     };
+    let mut scratch = seqpat_itemset::hash_tree::ProbeScratch::new(256);
     c.bench_function("itemset_hash_tree/probe_1000", |b| {
         b.iter(|| {
             let mut hits = 0u32;
-            tree.for_each_contained(black_box(&transaction), &candidates, &mut |_| hits += 1);
+            tree.for_each_contained(black_box(&transaction), &mut scratch, &mut |_| hits += 1);
             hits
         })
     });

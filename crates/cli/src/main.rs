@@ -434,6 +434,12 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             s.litemset_passes.len(),
             s.sequence_passes.len()
         );
+        for p in &s.litemset_passes {
+            eprintln!(
+                "  litemset k={}: candidates {}  large {}  in {:?}",
+                p.k, p.candidates, p.large, p.duration
+            );
+        }
         for p in &s.sequence_passes {
             eprintln!(
                 "  pass k={}{}: generated {}  counted {}  large {}  pruned {}  in {:?}",

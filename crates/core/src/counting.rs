@@ -77,7 +77,7 @@ use crate::hash_tree::{ProbeScratch, SequenceHashTree};
 use crate::stats::MiningStats;
 use crate::types::transformed::{LitemsetId, TransformedCustomer};
 use crate::vertical::{Occurrence, VerticalParams, VerticalState};
-use seqpat_itemset::parallel::{map_chunks, sum_partials};
+use seqpat_itemset::parallel::{map_chunks, map_chunks_with, sum_partials};
 use seqpat_itemset::Parallelism;
 use std::ops::Range;
 
@@ -620,9 +620,10 @@ impl CountingContext {
     /// [`CountingContext::large_two`] with the dense-matrix byte cap as a
     /// parameter. One pair counter serves the whole pass; per walk step,
     /// rows go to the workers in [`PAIR_BATCH_ROWS`] batches, and each
-    /// worker returns its chunk's pair keys, bumped into the counter in
-    /// chunk order, then shard order — exact integer counts, so the totals
-    /// match the unsharded run bit for bit.
+    /// worker fills its pass-long key buffer ([`PairKeys`]) with its
+    /// chunk's pair keys, bumped into the counter in chunk order, then
+    /// shard order — exact integer counts, so the totals match the
+    /// unsharded run bit for bit.
     fn large_two_capped(
         &mut self,
         ds: &dyn Dataset,
@@ -632,13 +633,15 @@ impl CountingContext {
         let n = ds.table().len();
         let threads = self.threads;
         let mut counts = PairCounts::new(n, cap_bytes);
+        let mut workers = vec![PairKeys::new(n); threads.max(1)];
         self.shards
             .for_each_shard(ds, &mut self.tally, |rows, _, tally| {
                 for batch in rows.chunks(PAIR_BATCH_ROWS) {
-                    let partials = pair_keys(batch, n, threads);
-                    for keys in partials {
-                        tally.containment_tests += w64(keys.len());
-                        counts.bump(&keys);
+                    map_chunks_with(batch, &mut workers, |chunk, w| w.gather(chunk, n));
+                    for w in &mut workers {
+                        tally.containment_tests += w64(w.keys.len());
+                        counts.bump(&w.keys);
+                        w.keys.clear();
                     }
                 }
             });
@@ -801,28 +804,47 @@ pub fn large_two_sequences(
 /// counts pairs in a hash map keyed by the pairs actually seen.
 const PAIR_DENSE_CAP_BYTES: u64 = 256 << 20;
 
-/// Customers per pass-2 key batch: workers return the pair keys of at most
-/// this many rows at a time, so the key buffers stay at a few MB (about
-/// 10 MB on C10-T2.5-S4-I1.25 at minsup 0.33 %, ~1 270 pairs a customer).
-const PAIR_BATCH_ROWS: usize = 1024;
+/// Customers per pass-2 key batch: workers gather the pair keys of at most
+/// this many rows at a time into buffers they keep for the pass, so the
+/// buffers stay near 2.6 MB (C10-T2.5-S4-I1.25 at minsup 0.33 %, ~1 270
+/// pairs a customer). With 1 024 rows the kept 16 MB buffer raised the
+/// `sparse-pairs` peak resident set by 3.3 MB.
+const PAIR_BATCH_ROWS: usize = 256;
 
-/// Pass-2 pair keys of one row batch, one key list per worker chunk in
-/// chunk order: `a·n + b` for every distinct pair `⟨a b⟩` each customer
-/// contains. The number of keys is the containment-test count.
-///
-/// `⟨a b⟩` is contained iff `a` occurs in a transaction strictly before
-/// one holding `b`, i.e. iff `first[a] < last[b]`. The customer's ids are
-/// listed in order of first occurrence, so for each `b` the matching `a`s
-/// are a prefix of that list: every distinct pair comes out exactly once,
-/// with no per-customer pair list to sort or dedup.
-fn pair_keys(batch: &[TransformedCustomer], n: usize, threads: usize) -> Vec<Vec<usize>> {
-    const UNSEEN: u32 = u32::MAX;
-    map_chunks(batch, threads, |chunk| {
-        let mut keys = Vec::new();
-        // slot[id]: the id's position in `seen`, or UNSEEN.
-        let mut slot = vec![UNSEEN; n];
-        // (id, first transaction, last transaction), by first transaction.
-        let mut seen: Vec<(LitemsetId, u32, u32)> = Vec::new();
+/// One worker's pass-2 buffers, allocated once per pass and reused by
+/// every batch: the batch's pair keys, the id → `seen` slot map and the
+/// customer's `(id, first transaction, last transaction)` list.
+#[derive(Clone)]
+struct PairKeys {
+    keys: Vec<usize>,
+    slot: Vec<u32>,
+    seen: Vec<(LitemsetId, u32, u32)>,
+}
+
+/// [`PairKeys::slot`] entry of an id the current customer has not shown.
+const UNSEEN: u32 = u32::MAX;
+
+impl PairKeys {
+    /// Empty buffers for an `n`-litemset alphabet.
+    fn new(n: usize) -> Self {
+        Self {
+            keys: Vec::new(),
+            slot: vec![UNSEEN; n],
+            seen: Vec::new(),
+        }
+    }
+
+    /// Appends the pass-2 pair keys of `chunk`: `a·n + b` for every
+    /// distinct pair `⟨a b⟩` each customer contains. The number of keys is
+    /// the containment-test count.
+    ///
+    /// `⟨a b⟩` is contained iff `a` occurs in a transaction strictly before
+    /// one holding `b`, i.e. iff `first[a] < last[b]`. The customer's ids
+    /// are listed in order of first occurrence, so for each `b` the
+    /// matching `a`s are a prefix of that list: every distinct pair comes
+    /// out exactly once, with no per-customer pair list to sort or dedup.
+    fn gather(&mut self, chunk: &[TransformedCustomer], n: usize) {
+        let Self { keys, slot, seen } = self;
         for customer in chunk {
             if customer.elements.len() < 2 {
                 continue;
@@ -840,22 +862,21 @@ fn pair_keys(batch: &[TransformedCustomer], n: usize, threads: usize) -> Vec<Vec
                     }
                 }
             }
-            for &(b, _, last_b) in &seen {
+            for &(b, _, last_b) in seen.iter() {
                 let col = idx(b);
-                for &(a, first_a, _) in &seen {
+                for &(a, first_a, _) in seen.iter() {
                     if first_a >= last_b {
                         break;
                     }
                     keys.push(idx(a) * n + col);
                 }
             }
-            for &(id, _, _) in &seen {
+            for &(id, _, _) in seen.iter() {
                 slot[idx(id)] = UNSEEN;
             }
             seen.clear();
         }
-        keys
-    })
+    }
 }
 
 /// Whether an `n×n` `u32` pair matrix fits `cap_bytes`.

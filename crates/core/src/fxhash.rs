@@ -66,9 +66,15 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The final rotation moves the product's well-mixed high bits down:
+    /// hashbrown takes the bucket index from the low bits, and the low bits
+    /// of a product depend only on the low bits of its factors, so without
+    /// it the high half of the last word never reaches the bucket index
+    /// (for a 4-id `Vec<u32>` key, that half is the fourth id). rustc-hash
+    /// 2.x ends the same way.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -105,6 +111,23 @@ mod tests {
         }
         // Perfectly injective on this range.
         assert_eq!(seen.len(), 10_000);
+    }
+
+    #[test]
+    fn high_half_of_the_last_word_reaches_the_low_bits() {
+        // Keys differing only in the high 32 bits of their one word: before
+        // the final rotation they all shared their low 32 hash bits.
+        let mut low_bits = FxHashSet::default();
+        for hi in 0u64..256 {
+            let mut h = FxHasher::default();
+            h.write_u64((hi << 32) | 7);
+            low_bits.insert(h.finish() & 0xffff);
+        }
+        assert!(
+            low_bits.len() > 200,
+            "{} distinct low-bit patterns",
+            low_bits.len()
+        );
     }
 
     #[test]

@@ -87,27 +87,30 @@ pub fn naive_all_large(
 }
 
 /// The maximal large sequences — the paper's answer set — computed from
-/// [`naive_all_large`] by pairwise containment pruning.
+/// [`naive_all_large`] by [`maximal_by_scan`].
 pub fn naive_maximal(
     db: &Database,
     min_support: MinSupport,
     limits: NaiveLimits,
 ) -> Vec<(Sequence, u64)> {
-    let mut all = naive_all_large(db, min_support, limits);
-    // Containers first: by length, then total items (equal-length
-    // containment implies element-wise subsets) — same argument as in
-    // [`crate::phases::maximal`].
+    let mut kept = maximal_by_scan(naive_all_large(db, min_support, limits));
+    kept.sort_by(|a, b| (a.0.len(), a.0.elements()).cmp(&(b.0.len(), b.0.elements())));
+    kept
+}
+
+/// Pairwise containment pruning: in containers-first order (by length,
+/// then total items — equal-length containment implies element-wise
+/// subsets), each sequence is kept unless a kept one contains it. The
+/// quadratic scan the maximal phase ([`crate::phases::maximal`]) is tested
+/// against; output in that order.
+pub fn maximal_by_scan(mut all: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
     all.sort_by_key(|a| std::cmp::Reverse((a.0.len(), a.0.total_items())));
     let mut kept: Vec<(Sequence, u64)> = Vec::new();
-    'outer: for (seq, support) in all {
-        for (k, _) in &kept {
-            if seq.is_contained_in(k) {
-                continue 'outer;
-            }
+    for (seq, support) in all {
+        if !kept.iter().any(|(k, _)| seq.is_contained_in(k)) {
+            kept.push((seq, support));
         }
-        kept.push((seq, support));
     }
-    kept.sort_by(|a, b| (a.0.len(), a.0.elements()).cmp(&(b.0.len(), b.0.elements())));
     kept
 }
 

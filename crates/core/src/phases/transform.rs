@@ -10,7 +10,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::types::database::{CustomerSequence, Database};
-use crate::types::itemset::Item;
+use crate::types::itemset::{Item, Itemset};
 use crate::types::transformed::{
     LitemsetId, LitemsetTable, TransformedCustomer, TransformedDatabase,
 };
@@ -52,18 +52,8 @@ impl<'a> TransformContext<'a> {
         let mut elements: Vec<Vec<LitemsetId>> = Vec::with_capacity(customer.transactions.len());
         for transaction in &customer.transactions {
             let mut ids: Vec<LitemsetId> = Vec::new();
-            for &item in transaction.items.items() {
-                if let Some(anchored) = self.by_first_item.get(&item) {
-                    for &id in anchored {
-                        if self.table.itemset(id).is_subset_of(&transaction.items) {
-                            ids.push(id);
-                        }
-                    }
-                }
-            }
+            self.contained_ids(&transaction.items, &mut ids);
             if !ids.is_empty() {
-                ids.sort_unstable();
-                debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
                 elements.push(ids);
             }
         }
@@ -71,6 +61,23 @@ impl<'a> TransformContext<'a> {
             customer_id: customer.customer_id,
             elements,
         }
+    }
+
+    /// Replaces `ids` with the ascending ids of every litemset contained
+    /// in `items`. The maximal phase expands pattern elements with it.
+    pub fn contained_ids(&self, items: &Itemset, ids: &mut Vec<LitemsetId>) {
+        ids.clear();
+        for &item in items.items() {
+            if let Some(anchored) = self.by_first_item.get(&item) {
+                for &id in anchored {
+                    if self.table.itemset(id).is_subset_of(items) {
+                        ids.push(id);
+                    }
+                }
+            }
+        }
+        ids.sort_unstable();
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 }
 

@@ -21,7 +21,7 @@ use crate::colstore::ColstoreWriter;
 use crate::error::IoError;
 use seqpat_core::phases::transform::TransformContext;
 use seqpat_core::{CustomerSequence, Item, Itemset, LitemsetTable, MinSupport};
-use seqpat_itemset::{apriori_gen, counting, AprioriConfig, CustomerTransactions, LargeItemset};
+use seqpat_itemset::{AprioriConfig, CustomerTransactions, LaterPasses};
 
 /// What a finished streaming build produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +54,6 @@ where
     I: Iterator<Item = CustomerSequence>,
 {
     let batch = batch_customers.max(1);
-    let min_count = min_count.max(1);
-    let threads = config.parallelism.resolved_threads();
 
     // --- Pass 1: single-item customer supports (and the denominator). ---
     // A BTreeMap keeps the item order deterministic without a sort pass.
@@ -73,79 +71,24 @@ where
             *item_counts.entry(item).or_insert(0) += 1;
         }
     }
-    let mut passes = 1usize;
-    let mut all_large: Vec<LargeItemset> = Vec::new();
-    let mut current: Vec<LargeItemset> = item_counts
+    let l1: Vec<(Item, u64)> = item_counts
         .into_iter()
-        .filter(|&(_, support)| support >= min_count)
-        .map(|(item, support)| LargeItemset {
-            // seqpat-lint: allow(no-alloc-in-hot-loop) one allocation per surviving large item, not per scanned row
-            items: vec![item],
-            support,
-        })
+        .filter(|&(_, support)| support >= min_count.max(1))
         .collect();
 
-    // --- Pass 2 fast path (the classic special-cased second pass): count
-    // co-occurring L1 pairs in a per-batch triangular grid instead of
-    // probing |L1|²/2 materialized candidates — per-batch pair counts are
-    // exact, so summing them and thresholding afterwards reproduces the
-    // in-memory pass exactly. Dominates build time on large streams.
-    if current.len() >= 2 {
+    // --- Passes 2..: the in-memory miner's passes, each reading one
+    // replay batch by batch. Per-batch counts are exact and add up across
+    // disjoint batches, so the large itemsets equal the in-memory pass. ---
+    let mut passes = 1usize;
+    let mut later = LaterPasses::new(l1, min_count);
+    let mut matrix: Vec<CustomerTransactions> = Vec::with_capacity(batch);
+    let mut scan = |count: &mut dyn FnMut(&[CustomerTransactions])| {
         passes += 1;
-        let l1 = std::mem::take(&mut current);
-        let mut pair_supports: std::collections::BTreeMap<(Item, Item), u64> =
-            std::collections::BTreeMap::new();
-        for_each_batch(replay(), batch, |matrix| {
-            let (_, batch_pairs) = counting::count_pairs_direct(matrix, &l1, 1, threads);
-            for pair in batch_pairs {
-                debug_assert!(
-                    pair.items.len() == 2,
-                    "count_pairs_direct yields 2-itemsets"
-                );
-                *pair_supports
-                    .entry((pair.items[0], pair.items[1]))
-                    .or_insert(0) += pair.support;
-            }
-        });
-        all_large.extend(l1);
-        current = pair_supports
-            .into_iter()
-            .filter(|&(_, support)| support >= min_count)
-            .map(|((a, b), support)| LargeItemset {
-                // seqpat-lint: allow(no-alloc-in-hot-loop) one allocation per surviving large pair, not per scanned row
-                items: vec![a, b],
-                support,
-            })
-            .collect();
-    }
-
-    // --- Passes 3..: apriori_gen candidates, supports summed per batch. ---
-    while !current.is_empty() {
-        let prev_sets: Vec<&[Item]> = current.iter().map(|l| l.items.as_slice()).collect();
-        let candidates = apriori_gen(&prev_sets);
-        all_large.append(&mut current);
-        if candidates.is_empty() {
-            break;
-        }
-        passes += 1;
-        let mut supports = vec![0u64; candidates.len()];
-        for_each_batch(replay(), batch, |matrix| {
-            let partial = if candidates.len() < config.direct_count_threshold {
-                counting::count_candidates_direct(matrix, &candidates, threads)
-            } else {
-                counting::count_candidates_hash_tree(matrix, &candidates, config)
-            };
-            for (total, part) in supports.iter_mut().zip(partial) {
-                *total += part;
-            }
-        });
-        current = candidates
-            .into_iter()
-            .zip(supports)
-            .filter(|&(_, support)| support >= min_count)
-            .map(|(items, support)| LargeItemset { items, support })
-            .collect();
-    }
+        // seqpat-lint: allow(no-alloc-in-hot-loop) one replay per pass is the streaming contract; whatever the source allocates to restart is per pass, not per customer
+        for_each_batch(replay(), batch, &mut matrix, count);
+    };
+    while later.step(config, &mut scan).is_some() {}
+    let mut all_large = later.into_large();
 
     // Same global order as the in-memory litemset phase: lexicographic by
     // items, which makes litemset ids identical across backends.
@@ -180,12 +123,17 @@ where
 }
 
 /// Feeds `f` batches of at most `batch` customers, as the item-matrix view
-/// the `seqpat-itemset` counters consume.
-fn for_each_batch<I>(stream: I, batch: usize, mut f: impl FnMut(&[CustomerTransactions]))
-where
+/// the `seqpat-itemset` counters consume, built in the caller's `matrix`
+/// (left empty).
+fn for_each_batch<I>(
+    stream: I,
+    batch: usize,
+    matrix: &mut Vec<CustomerTransactions>,
+    f: &mut dyn FnMut(&[CustomerTransactions]),
+) where
     I: Iterator<Item = CustomerSequence>,
 {
-    let mut matrix: Vec<CustomerTransactions> = Vec::with_capacity(batch);
+    matrix.clear();
     for customer in stream {
         matrix.push(
             customer
@@ -195,12 +143,13 @@ where
                 .collect(),
         );
         if matrix.len() == batch {
-            f(&matrix);
+            f(matrix);
             matrix.clear();
         }
     }
     if !matrix.is_empty() {
-        f(&matrix);
+        f(matrix);
+        matrix.clear();
     }
 }
 

@@ -1,31 +1,46 @@
 //! The candidate hash tree of Apriori (VLDB 1994 §2.1.2).
 //!
 //! Candidates are stored in a tree whose interior nodes hash on the item at
-//! the node's depth; leaves hold candidate indices. To find all candidates
-//! contained in a transaction `t = (t₁ … tₘ)` (sorted), the tree is walked
-//! from the root: at an interior node of depth `d` reached by hashing item
-//! `tᵢ`, every later item `tⱼ (j > i)` is hashed to pick the next child;
-//! at a leaf, each stored candidate is verified with a subset test. A
-//! candidate can be reached along several paths, so callers deduplicate with
-//! a visit stamp (see [`VisitStamps`]).
+//! the node's depth; leaves hold candidate indices. To find the candidates
+//! contained in a sorted transaction, the probe descends from an interior
+//! node into each child bucket that some item after the node's cursor
+//! hashes to, and gives that child the **earliest** such item's position
+//! plus one as its cursor. Greedy earliest matching is exact for subset
+//! existence (a later cursor only shrinks what the subtree can still
+//! match), so every node is visited at most once per transaction and every
+//! candidate, living in one leaf, is tested at most once. At a leaf a
+//! candidate is contained iff each of its items is present in the
+//! transaction (hash collisions make the path itself insufficient).
+//! Across the transactions of one customer a candidate can still match
+//! several times; callers deduplicate with [`VisitStamps`].
+//!
+//! The tree is one flat arena: nodes live in a `Vec`, an interior node
+//! names the index of its first child, and its `fanout` children are
+//! consecutive. The probe is an iterative loop over an explicit work
+//! stack held in [`ProbeScratch`] with the presence flags, so it
+//! allocates nothing in the steady state.
 
 use crate::cast::{id32, idx};
 use crate::Item;
 
 /// Hash tree over a fixed candidate set (all candidates have equal length).
+/// Items must be dense (below the universe a [`ProbeScratch`] is sized
+/// for): the litemset phase feeds it L1 indices, not raw item ids.
 #[derive(Debug)]
 pub struct HashTree {
-    root: Node,
+    nodes: Vec<Node>,
+    /// Candidates, `k` items each, back to back.
+    items: Vec<Item>,
     fanout: usize,
-    candidate_len: usize,
-    len: usize,
+    k: usize,
 }
 
 #[derive(Debug)]
 enum Node {
-    /// Candidate indices into the external candidate table.
+    /// Candidate indices.
     Leaf(Vec<u32>),
-    Interior(Vec<Node>),
+    /// Index of the first of `fanout` consecutive children.
+    Interior(u32),
 }
 
 impl HashTree {
@@ -37,62 +52,127 @@ impl HashTree {
     pub fn build(candidates: &[Vec<Item>], fanout: usize, leaf_capacity: usize) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
         assert!(leaf_capacity >= 1, "leaf capacity must be at least 1");
-        let candidate_len = candidates.first().map_or(0, |c| c.len());
+        let k = candidates.first().map_or(0, |c| c.len());
         assert!(
-            candidates.iter().all(|c| c.len() == candidate_len),
+            candidates.iter().all(|c| c.len() == k),
             "all candidates in one tree must have equal length"
         );
         let mut tree = Self {
-            root: Node::Leaf(Vec::new()),
+            nodes: vec![Node::Leaf(Vec::new())],
+            items: candidates.concat(),
             fanout,
-            candidate_len,
-            len: candidates.len(),
+            k,
         };
-        for (i, cand) in candidates.iter().enumerate() {
-            // seqpat-lint: allow(no-alloc-in-hot-loop) tree construction allocates per split; the probe path is allocation-free
-            insert(
-                &mut tree.root,
-                cand,
-                id32(i),
-                0,
-                fanout,
-                leaf_capacity,
-                candidates,
-            );
+        for slot in 0..candidates.len() {
+            tree.insert(id32(slot), leaf_capacity);
         }
         tree
     }
 
     /// Number of candidates stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.items.len().checked_div(self.k).unwrap_or(0)
     }
 
     /// True when the tree holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.items.is_empty()
+    }
+
+    /// The items of candidate `slot`.
+    fn candidate(&self, slot: u32) -> &[Item] {
+        debug_assert!(idx(slot) < self.len(), "slots index the candidates");
+        &self.items[idx(slot) * self.k..(idx(slot) + 1) * self.k]
+    }
+
+    /// Descends by the item at each depth to a leaf, and splits the leaf
+    /// on the item at its depth once it outgrows `leaf_capacity` (a leaf
+    /// at the candidate length never splits).
+    fn insert(&mut self, slot: u32, leaf_capacity: usize) {
+        let (mut ni, mut depth) = (0, 0);
+        while let Node::Interior(first) = self.nodes[ni] {
+            ni = idx(first) + bucket(self.candidate(slot)[depth], self.fanout);
+            depth += 1;
+        }
+        debug_assert!(
+            depth <= self.k,
+            "interior nodes sit above the candidate length, so the depth cursor stays in range"
+        );
+        let Node::Leaf(ids) = &mut self.nodes[ni] else {
+            return;
+        };
+        ids.push(slot);
+        if ids.len() <= leaf_capacity || depth == self.k {
+            return;
+        }
+        let full = std::mem::take(ids);
+        let mut kids = vec![Vec::new(); self.fanout];
+        for id in full {
+            kids[bucket(self.candidate(id)[depth], self.fanout)].push(id);
+        }
+        self.nodes[ni] = Node::Interior(id32(self.nodes.len()));
+        self.nodes.extend(kids.into_iter().map(Node::Leaf));
     }
 
     /// Invokes `on_match` for every candidate index whose itemset is a
-    /// subset of the (sorted) `transaction`. May report an index more than
-    /// once; `candidates` must be the slice the tree was built from.
+    /// subset of the sorted, duplicate-free `transaction`, each at most
+    /// once. `scratch` must be sized for every item of the transaction.
     pub fn for_each_contained(
         &self,
         transaction: &[Item],
-        candidates: &[Vec<Item>],
+        scratch: &mut ProbeScratch,
         on_match: &mut impl FnMut(u32),
     ) {
-        if self.len == 0 || transaction.len() < self.candidate_len {
+        if self.is_empty() || transaction.len() < self.k {
             return;
         }
-        walk(
-            &self.root,
-            transaction,
-            transaction,
-            candidates,
-            self.fanout,
-            on_match,
+        debug_assert!(
+            transaction.windows(2).all(|w| w[0] < w[1]),
+            "transactions are sorted and duplicate-free"
         );
+        let ProbeScratch {
+            present,
+            pushed,
+            stack,
+        } = scratch;
+        for &item in transaction {
+            present[idx(item)] = true;
+        }
+        pushed.resize(self.fanout, false);
+        stack.clear();
+        stack.push((0, 0, 0));
+        while let Some((ni, cursor, depth)) = stack.pop() {
+            match &self.nodes[idx(ni)] {
+                Node::Leaf(ids) => {
+                    for &id in ids {
+                        if self.candidate(id).iter().all(|&i| present[idx(i)]) {
+                            on_match(id);
+                        }
+                    }
+                }
+                Node::Interior(first) => {
+                    // Each child bucket once, at the earliest item hashing
+                    // to it that still leaves room for the deeper items.
+                    pushed.fill(false);
+                    let last = transaction.len() - (self.k - idx(depth));
+                    for (i, &item) in transaction
+                        .iter()
+                        .enumerate()
+                        .take(last + 1)
+                        .skip(idx(cursor))
+                    {
+                        let b = bucket(item, self.fanout);
+                        if !pushed[b] {
+                            pushed[b] = true;
+                            stack.push((first + id32(b), id32(i + 1), depth + 1));
+                        }
+                    }
+                }
+            }
+        }
+        for &item in transaction {
+            present[idx(item)] = false;
+        }
     }
 }
 
@@ -102,128 +182,36 @@ fn bucket(item: Item, fanout: usize) -> usize {
     idx(item.wrapping_mul(2654435761)) % fanout
 }
 
-#[allow(clippy::too_many_arguments)]
-fn insert(
-    node: &mut Node,
-    cand: &[Item],
-    slot: u32,
-    depth: usize,
-    fanout: usize,
-    leaf_capacity: usize,
-    candidates: &[Vec<Item>],
-) {
-    debug_assert!(
-        depth <= cand.len(),
-        "interior nodes only exist above the candidate length, so the depth cursor stays in range"
-    );
-    match node {
-        Node::Interior(children) => {
-            let b = bucket(cand[depth], fanout);
-            insert(
-                &mut children[b],
-                cand,
-                slot,
-                depth + 1,
-                fanout,
-                leaf_capacity,
-                candidates,
-            );
-        }
-        Node::Leaf(ids) => {
-            ids.push(slot);
-            // Split when over capacity, unless we already hash on the last
-            // item position (deeper hashing has nothing left to discriminate).
-            if ids.len() > leaf_capacity && depth < cand.len() {
-                let old = std::mem::take(ids);
-                // seqpat-lint: allow(no-alloc-in-hot-loop) Vec::new() is capacity-0 (no heap allocation) and the split path is cold — it runs once per overflowing leaf, not per insert
-                let mut children: Vec<Node> = (0..fanout).map(|_| Node::Leaf(Vec::new())).collect();
-                for id in old {
-                    let b = bucket(candidates[idx(id)][depth], fanout);
-                    // Direct push: children are fresh leaves; re-splitting is
-                    // handled by subsequent inserts if they overflow again.
-                    match &mut children[b] {
-                        Node::Leaf(v) => v.push(id),
-                        // seqpat-lint: allow(no-panic-in-kernels) every child was created as a leaf above and nothing re-splits them before this loop ends
-                        Node::Interior(_) => unreachable!(),
-                    }
-                }
-                *node = Node::Interior(children);
-            }
+/// Per-worker probe scratch, reused across transactions: the presence
+/// flags of the current transaction's items (sized for the item universe
+/// once, cleared per transaction over its own items), the interior node's
+/// child-bucket flags, and the `(node, cursor, depth)` work stack.
+#[derive(Debug, Clone)]
+pub struct ProbeScratch {
+    present: Vec<bool>,
+    pushed: Vec<bool>,
+    stack: Vec<(u32, u32, u32)>,
+}
+
+impl ProbeScratch {
+    /// Creates scratch for items below `universe`.
+    pub fn new(universe: usize) -> Self {
+        Self {
+            present: vec![false; universe],
+            pushed: Vec::new(),
+            stack: Vec::new(),
         }
     }
 }
 
-fn walk(
-    node: &Node,
-    full_transaction: &[Item],
-    remaining: &[Item],
-    candidates: &[Vec<Item>],
-    fanout: usize,
-    on_match: &mut impl FnMut(u32),
-) {
-    debug_assert!(
-        remaining.len() <= full_transaction.len(),
-        "`remaining` is a suffix of the transaction being walked"
-    );
-    match node {
-        Node::Leaf(ids) => {
-            // Verify against the FULL transaction: hash collisions mean the
-            // descended prefix is not guaranteed to correspond to actual
-            // matching items. Completeness holds because for any contained
-            // candidate the walk also descends along the buckets of the
-            // candidate's own items.
-            for &id in ids {
-                if is_subset(&candidates[idx(id)], full_transaction) {
-                    on_match(id);
-                }
-            }
-        }
-        Node::Interior(children) => {
-            for (i, &item) in remaining.iter().enumerate() {
-                let child = &children[bucket(item, fanout)];
-                walk(
-                    child,
-                    full_transaction,
-                    &remaining[i + 1..],
-                    candidates,
-                    fanout,
-                    on_match,
-                );
-            }
-        }
-    }
-}
-
-/// Subset test on sorted, duplicate-free slices.
-fn is_subset(cand: &[Item], trans: &[Item]) -> bool {
-    debug_assert!(
-        cand.windows(2).all(|w| w[0] < w[1]) && trans.windows(2).all(|w| w[0] < w[1]),
-        "both slices are sorted and duplicate-free"
-    );
-    let mut ti = 0;
-    'outer: for &c in cand {
-        while ti < trans.len() {
-            match trans[ti].cmp(&c) {
-                std::cmp::Ordering::Less => ti += 1,
-                std::cmp::Ordering::Equal => {
-                    ti += 1;
-                    continue 'outer;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Per-candidate visit stamps for deduplicating hash-tree matches.
+/// Per-candidate visit stamps for deduplicating matches across the
+/// transactions of one customer.
 ///
-/// The tree can report a candidate several times for one transaction (one
-/// per path). Counting code stamps each candidate with an epoch — one epoch
-/// per (customer, pass) — so each candidate is processed once per epoch
-/// without clearing a bitmap between customers.
-#[derive(Debug)]
+/// The tree reports a candidate at most once per transaction, but a
+/// customer's transactions can each contain it. Counting code stamps each
+/// candidate with an epoch — one epoch per customer — so each candidate is
+/// counted once per customer without clearing a bitmap between customers.
+#[derive(Debug, Clone)]
 pub struct VisitStamps {
     stamps: Vec<u64>,
     epoch: u64,
@@ -263,17 +251,23 @@ impl VisitStamps {
 mod tests {
     use super::*;
 
-    fn matches(tree: &HashTree, cands: &[Vec<Item>], trans: &[Item]) -> Vec<u32> {
-        let mut seen = VisitStamps::new(cands.len());
-        seen.next_epoch();
+    fn matches(tree: &HashTree, trans: &[Item]) -> Vec<u32> {
+        let universe = trans.iter().chain(&tree.items).map(|&i| idx(i) + 1).max();
+        let mut scratch = ProbeScratch::new(universe.unwrap_or(0));
         let mut out = Vec::new();
-        tree.for_each_contained(trans, cands, &mut |id| {
-            if seen.first_visit(id) {
-                out.push(id);
-            }
-        });
+        tree.for_each_contained(trans, &mut scratch, &mut |id| out.push(id));
+        let reported = out.len();
         out.sort_unstable();
+        out.dedup();
+        assert_eq!(out.len(), reported, "a candidate was reported twice");
         out
+    }
+
+    fn brute(cands: &[Vec<Item>], trans: &[Item]) -> Vec<u32> {
+        (0..cands.len())
+            .filter(|&i| cands[i].iter().all(|x| trans.contains(x)))
+            .map(id32)
+            .collect()
     }
 
     #[test]
@@ -281,16 +275,16 @@ mod tests {
         let cands: Vec<Vec<Item>> =
             vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![2, 4], vec![3, 4]];
         let tree = HashTree::build(&cands, 4, 2);
-        assert_eq!(matches(&tree, &cands, &[1, 2, 3]), vec![0, 1, 2]);
-        assert_eq!(matches(&tree, &cands, &[2, 4]), vec![3]);
-        assert_eq!(matches(&tree, &cands, &[5, 6]), Vec::<u32>::new());
+        assert_eq!(matches(&tree, &[1, 2, 3]), vec![0, 1, 2]);
+        assert_eq!(matches(&tree, &[2, 4]), vec![3]);
+        assert_eq!(matches(&tree, &[5, 6]), Vec::<u32>::new());
     }
 
     #[test]
     fn transaction_shorter_than_candidates_matches_nothing() {
         let cands = vec![vec![1, 2, 3]];
         let tree = HashTree::build(&cands, 4, 2);
-        assert!(matches(&tree, &cands, &[1, 2]).is_empty());
+        assert!(matches(&tree, &[1, 2]).is_empty());
     }
 
     #[test]
@@ -298,14 +292,14 @@ mod tests {
         // Tiny capacity forces maximal splitting.
         let cands: Vec<Vec<Item>> = (0..30u32).map(|i| vec![i, i + 1, i + 2]).collect();
         let tree = HashTree::build(&cands, 2, 1);
+        assert!(tree.nodes.len() > 1, "capacity 1 must split the root");
         for (i, c) in cands.iter().enumerate() {
-            assert_eq!(matches(&tree, &cands, c), vec![i as u32]);
+            assert_eq!(matches(&tree, c), vec![i as u32]);
         }
         // A transaction covering several candidates.
         let trans: Vec<Item> = (0..10).collect();
-        let got = matches(&tree, &cands, &trans);
         let expect: Vec<u32> = (0..8).collect();
-        assert_eq!(got, expect);
+        assert_eq!(matches(&tree, &trans), expect);
     }
 
     #[test]
@@ -327,14 +321,26 @@ mod tests {
             let trans: Vec<Item> = (0..24)
                 .filter(|i| (t.wrapping_mul(31) + i) % 3 != 0)
                 .collect();
-            let brute: Vec<u32> = cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| is_subset(c, &trans))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(matches(&tree, &cands, &trans), brute);
+            assert_eq!(matches(&tree, &trans), brute(&cands, &trans));
         }
+    }
+
+    #[test]
+    fn children_are_consecutive_and_every_slot_sits_in_one_leaf() {
+        let cands: Vec<Vec<Item>> = (0..40u32).map(|i| vec![i % 7, 7 + i]).collect();
+        let tree = HashTree::build(&cands, 3, 2);
+        let mut slots = Vec::new();
+        for (ni, node) in tree.nodes.iter().enumerate() {
+            match node {
+                Node::Leaf(ids) => slots.extend_from_slice(ids),
+                Node::Interior(first) => {
+                    assert!(idx(*first) > ni);
+                    assert!(idx(*first) + 3 <= tree.nodes.len());
+                }
+            }
+        }
+        slots.sort_unstable();
+        assert_eq!(slots, (0..40).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -342,7 +348,8 @@ mod tests {
         let cands: Vec<Vec<Item>> = Vec::new();
         let tree = HashTree::build(&cands, 4, 2);
         assert!(tree.is_empty());
-        assert!(matches(&tree, &cands, &[1, 2, 3]).is_empty());
+        assert_eq!(tree.len(), 0);
+        assert!(matches(&tree, &[1, 2, 3]).is_empty());
     }
 
     #[test]

@@ -75,9 +75,6 @@ pub struct AprioriConfig {
     pub hash_tree_leaf_capacity: usize,
     /// Branching factor (number of hash buckets) of interior nodes.
     pub hash_tree_fanout: usize,
-    /// Below this many candidates a linear scan beats the hash tree; the
-    /// counter falls back to direct subset tests.
-    pub direct_count_threshold: usize,
     /// Hard cap on itemset size, `None` for unbounded. Useful to bound
     /// degenerate inputs; the paper leaves it unbounded.
     pub max_itemset_size: Option<usize>,
@@ -92,7 +89,6 @@ impl Default for AprioriConfig {
         Self {
             hash_tree_leaf_capacity: 32,
             hash_tree_fanout: 16,
-            direct_count_threshold: 64,
             max_itemset_size: None,
             parallelism: Parallelism::default(),
         }
@@ -145,87 +141,148 @@ pub fn mine_large_itemsets_with_stats(
     min_count: u64,
     config: &AprioriConfig,
 ) -> AprioriResult {
-    let min_count = min_count.max(1);
-    let threads = config.parallelism.resolved_threads();
-    let mut result = AprioriResult::default();
-
-    // Pass 1: direct count of single items per customer.
     let pass_start = crate::stats::Stopwatch::start();
-    let l1 = counting::count_single_items(customers, min_count);
-    result.passes.push(AprioriPassStats {
+    let (distinct, l1) = counting::count_single_items(customers, min_count.max(1));
+    let mut passes = vec![AprioriPassStats {
         k: 1,
         // Every distinct item is implicitly a candidate in pass 1.
-        candidates: counting::distinct_item_count(customers),
-        large: l1.len() as u64,
+        candidates: distinct,
+        large: cast::w64(l1.len()),
         duration: pass_start.elapsed(),
-    });
-    if l1.is_empty() {
-        return result;
+    }];
+    let mut later = LaterPasses::new(l1, min_count);
+    loop {
+        let pass_start = crate::stats::Stopwatch::start();
+        let Some(mut pass) = later.step(config, |count| count(customers)) else {
+            break;
+        };
+        pass.duration = pass_start.elapsed();
+        passes.push(pass);
+    }
+    AprioriResult {
+        large: later.into_large(),
+        passes,
+    }
+}
+
+/// Apriori's passes 2 and up, one [`LaterPasses::step`] per pass, from the
+/// large items of pass 1. Shared by the in-memory miner and the streamed
+/// colstore build, which differ only in how a pass reads the customers.
+///
+/// Itemsets are counted in L1-index space (see [`counting`]) and mapped
+/// back to items on output.
+#[derive(Debug)]
+pub struct LaterPasses {
+    index: counting::L1Index,
+    /// The last pass's large itemsets (L1 indices, lexicographic) with
+    /// their supports, not yet in `large`.
+    current: Vec<(Vec<u32>, u64)>,
+    /// Itemset size of the next pass.
+    k: usize,
+    min_count: u64,
+    large: Vec<LargeItemset>,
+}
+
+impl LaterPasses {
+    /// Starts from the large items `l1` (ascending by item, with their
+    /// supports) and an absolute support threshold.
+    pub fn new(l1: Vec<(Item, u64)>, min_count: u64) -> Self {
+        let index = counting::L1Index::new(l1.iter().map(|&(item, _)| item).collect());
+        let large = l1
+            .into_iter()
+            .map(|(item, support)| LargeItemset {
+                items: vec![item],
+                support,
+            })
+            .collect();
+        Self {
+            index,
+            current: Vec::new(),
+            k: 2,
+            min_count: min_count.max(1),
+            large,
+        }
     }
 
-    let mut current: Vec<LargeItemset> = l1;
-    let mut k = 2usize;
-    loop {
-        if let Some(cap) = config.max_itemset_size {
-            if k > cap {
-                result.large.append(&mut current);
-                return result;
+    /// Runs the next pass and returns its counters (`duration` left zero
+    /// for the caller to fill), or `None` when mining is over.
+    ///
+    /// `scan` runs once if the pass has candidates, and must feed its
+    /// argument every customer of the database exactly once, in batches of
+    /// any size (supports add up across disjoint batches).
+    pub fn step(
+        &mut self,
+        config: &AprioriConfig,
+        mut scan: impl FnMut(&mut dyn FnMut(&[CustomerTransactions])),
+    ) -> Option<AprioriPassStats> {
+        let k = self.k;
+        let within_cap = config.max_itemset_size.is_none_or(|cap| k <= cap);
+        let (candidates, next) = if k == 2 {
+            if self.index.is_empty() || !within_cap {
+                return None;
             }
-        }
-        // Pass 2 fast path: the join over L1 yields every item pair and the
-        // prune is vacuous, so count co-occurring pairs directly per
-        // customer instead of probing |L1|²/2 candidates through the tree
-        // (the classic special-cased second pass of Apriori).
-        if k == 2 {
-            let pass_start = crate::stats::Stopwatch::start();
-            let (n_candidates, l2) =
-                counting::count_pairs_direct(customers, &current, min_count, threads);
-            result.large.append(&mut current);
-            result.passes.push(AprioriPassStats {
-                k,
-                candidates: n_candidates,
-                large: l2.len() as u64,
-                duration: pass_start.elapsed(),
-            });
-            if l2.is_empty() {
-                return result;
+            // The join over L1 yields every item pair and the prune is
+            // vacuous, so co-occurring pairs are counted directly instead
+            // of probing |L1|²/2 candidates through the tree (the classic
+            // special-cased second pass of Apriori).
+            let mut pairs =
+                counting::PairCounter::new(&self.index, config.parallelism.resolved_threads());
+            if pairs.candidates() > 0 {
+                scan(&mut |batch| pairs.count(batch));
             }
-            current = l2;
-            k = 3;
-            continue;
-        }
-        let pass_start = crate::stats::Stopwatch::start();
-        let prev_sets: Vec<&[Item]> = current.iter().map(|l| l.items.as_slice()).collect();
-        let candidates = candidate::apriori_gen(&prev_sets);
-        let n_candidates = candidates.len() as u64;
-        result.large.append(&mut current);
-        if candidates.is_empty() {
-            return result;
-        }
-
-        let supports = if candidates.len() < config.direct_count_threshold {
-            counting::count_candidates_direct(customers, &candidates, threads)
+            let candidates = pairs.candidates();
+            let next = pairs
+                .into_large(self.min_count)
+                .into_iter()
+                .map(|(i, j, support)| (vec![i, j], support))
+                .collect();
+            (candidates, next)
         } else {
-            counting::count_candidates_hash_tree(customers, &candidates, config)
-        };
-
-        let mut next: Vec<LargeItemset> = Vec::new();
-        for (items, support) in candidates.into_iter().zip(supports) {
-            if support >= min_count {
-                next.push(LargeItemset { items, support });
+            let candidates = if within_cap {
+                let prev: Vec<&[u32]> =
+                    self.current.iter().map(|(ids, _)| ids.as_slice()).collect();
+                candidate::apriori_gen(&prev)
+            } else {
+                Vec::new()
+            };
+            self.flush();
+            if candidates.is_empty() {
+                return None;
             }
-        }
-        result.passes.push(AprioriPassStats {
+            let mut counter = counting::CandidateCounter::new(&self.index, &candidates, config);
+            scan(&mut |batch| counter.count(batch));
+            let n_candidates = cast::w64(candidates.len());
+            let next = candidates
+                .into_iter()
+                .zip(counter.supports())
+                .filter(|&(_, support)| support >= self.min_count)
+                .collect();
+            (n_candidates, next)
+        };
+        self.current = next;
+        self.k += 1;
+        Some(AprioriPassStats {
             k,
-            candidates: n_candidates,
-            large: next.len() as u64,
-            duration: pass_start.elapsed(),
-        });
-        if next.is_empty() {
-            return result;
-        }
-        current = next;
-        k += 1;
+            candidates,
+            large: cast::w64(self.current.len()),
+            duration: std::time::Duration::ZERO,
+        })
+    }
+
+    /// Every large itemset found, in pass order (each pass lexicographic).
+    pub fn into_large(mut self) -> Vec<LargeItemset> {
+        self.flush();
+        self.large
+    }
+
+    /// Moves the last pass's itemsets, as items, into `large`.
+    fn flush(&mut self) {
+        let index = &self.index;
+        self.large
+            .extend(self.current.drain(..).map(|(ids, support)| LargeItemset {
+                items: ids.iter().map(|&i| index.item(i)).collect(),
+                support,
+            }));
     }
 }
 
@@ -313,8 +370,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_hash_tree_counting_agree() {
-        // Force each strategy via the threshold and compare.
+    fn tree_shape_does_not_change_results() {
+        // A one-candidate-per-leaf binary tree against the default shape.
         let customers: Vec<CustomerTransactions> = (0..20)
             .map(|c: u32| vec![vec![c % 3, 10 + c % 4, 20 + c % 2], vec![c % 5, 10 + c % 4]])
             .map(|txs| {
@@ -327,24 +384,17 @@ mod tests {
                     .collect()
             })
             .collect();
-        let direct = mine_large_itemsets(
-            &customers,
-            3,
-            &AprioriConfig {
-                direct_count_threshold: usize::MAX,
-                ..AprioriConfig::default()
-            },
-        );
+        let default = mine_large_itemsets(&customers, 2, &AprioriConfig::default());
         let tree = mine_large_itemsets(
             &customers,
-            3,
+            2,
             &AprioriConfig {
-                direct_count_threshold: 0,
                 hash_tree_leaf_capacity: 1,
                 hash_tree_fanout: 2,
                 ..AprioriConfig::default()
             },
         );
-        assert_eq!(direct, tree);
+        assert!(default.iter().any(|l| l.items.len() == 3));
+        assert_eq!(default, tree);
     }
 }

@@ -82,27 +82,50 @@ where
     M: Fn(&[T]) -> R + Sync,
 {
     let workers = threads.min(items.len()).max(1);
+    let mut results: Vec<Option<R>> = (0..workers).map(|_| None).collect();
+    map_chunks_with(items, &mut results, |chunk, slot| *slot = Some(map(chunk)));
+    results.into_iter().flatten().collect()
+}
+
+/// [`map_chunks`] with one caller-owned scratch value per worker: chunk
+/// `i` is mapped with `&mut scratch[i]`, so buffers outlive the call and
+/// are reused by the next one (a pass that feeds batch after batch through
+/// here allocates its worker buffers once). The chunking is
+/// [`map_chunks`]'s, with `scratch.len()` as the thread count; scratch
+/// values past the last chunk are left untouched.
+pub fn map_chunks_with<T, S, M>(items: &[T], scratch: &mut [S], map: M)
+where
+    T: Sync,
+    S: Send,
+    M: Fn(&[T], &mut S) + Sync,
+{
+    let workers = scratch.len().min(items.len()).max(1);
+    let Some(first) = scratch.first_mut() else {
+        return;
+    };
     if workers == 1 {
-        return vec![map(items)];
+        map(items, first);
+        return;
     }
-    let chunk_len = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let map = &map;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            // seqpat-lint: allow(no-spawn-in-kernels) map_chunks is the one sanctioned fan-out point — every kernel parallelizes through it, and scoped threads join before it returns
-            .map(|chunk| scope.spawn(move || map(chunk)))
-            .collect();
-        handles
+    let map = &map;
+    // Each chunk paired with its own scratch before any thread starts:
+    // every worker moves in exactly one `&mut S`, none is shared.
+    let jobs: Vec<(&[T], &mut S)> = items
+        .chunks(items.len().div_ceil(workers))
+        .zip(scratch.iter_mut())
+        .collect();
+    std::thread::scope(move |scope| {
+        let handles: Vec<_> = jobs
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(counts) => counts,
-                // A worker panic is a bug in `map`; re-raise its payload on
-                // the caller's thread rather than panicking a second time.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+            // seqpat-lint: allow(no-spawn-in-kernels) the one sanctioned fan-out point — every kernel parallelizes through it (map_chunks included), and scoped threads join before it returns
+            .map(|(chunk, s)| scope.spawn(move || map(chunk, s)))
+            .collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Sums equal-length per-chunk count vectors element-wise, consuming them

@@ -24,7 +24,7 @@ use crate::rules::{self, Violation};
 
 /// Call names that hand a closure to another thread (or to the chunked
 /// fan-out helper built on them).
-const PARALLEL_SINKS: &[&str] = &["spawn", "scope", "map_chunks"];
+const PARALLEL_SINKS: &[&str] = &["spawn", "scope", "map_chunks", "map_chunks_with"];
 
 /// True when `handed_to` names a parallel sink.
 fn is_parallel_sink(handed_to: Option<&str>) -> bool {

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Fills the <!-- Ex-MEASURED --> placeholders in EXPERIMENTS.md from the
-CSVs under results/. Idempotent: replaces the section between a placeholder
-comment and the next blank-line-delimited block it previously wrote."""
+"""Fills the measured tables of EXPERIMENTS.md from the CSVs under results/.
+
+Each table sits between a begin marker `<!-- Ex-MEASURED -->` and an end
+marker `<!-- /Ex-MEASURED -->`; only the text between the two is rewritten,
+so the prose around a table survives a re-run. A section missing either
+marker is skipped. Idempotent."""
 import csv
 import io
 import re
@@ -133,12 +136,27 @@ def e7():
             r["strategy"],
             r["fanout"] or "-",
             r["leaf_capacity"] or "-",
+            r["threads"],
             f"{float(r['seconds']):.3f}",
             r["containment_tests"],
+            r["join_ops"],
+            r["sstep_ops"],
         ]
         for r in rows
     ]
-    return table(body, ["strategy", "fanout", "leaf cap", "seconds", "containment tests"])
+    return table(
+        body,
+        [
+            "strategy",
+            "fanout",
+            "leaf cap",
+            "threads",
+            "seconds",
+            "containment tests",
+            "joins",
+            "sstep ops",
+        ],
+    )
 
 
 def e8():
@@ -168,15 +186,15 @@ def main():
         if content is None:
             print(f"{key}: no CSV yet, skipped", file=sys.stderr)
             continue
-        marker = f"<!-- {key}-MEASURED -->"
-        if marker not in doc:
-            print(f"{key}: marker missing, skipped", file=sys.stderr)
+        begin = f"<!-- {key}-MEASURED -->"
+        end = f"<!-- /{key}-MEASURED -->"
+        if begin not in doc or end not in doc:
+            print(f"{key}: begin or end marker missing, skipped", file=sys.stderr)
             continue
-        # Replace marker plus anything until the next heading-or-marker.
-        pattern = re.compile(
-            re.escape(marker) + r".*?(?=\n## |\n<!-- |\Z)", re.S
-        )
-        doc = pattern.sub(marker + "\n\n" + content.rstrip() + "\n", doc)
+        # Replace only what lies between the two markers.
+        pattern = re.compile(re.escape(begin) + r".*?" + re.escape(end), re.S)
+        filled = begin + "\n\n" + content.rstrip() + "\n" + end
+        doc = pattern.sub(lambda _: filled, doc, count=1)
         print(f"{key}: filled")
     DOC.write_text(doc)
 
