@@ -254,6 +254,10 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     if shard_customers == Some(0) {
         return Err("--shard-customers must be positive".into());
     }
+    let step = flags.get_parsed::<usize>("step")?.unwrap_or(2);
+    if step == 0 {
+        return Err("--step must be positive".into());
+    }
     let algorithm_name = flags.get("algorithm").unwrap_or("apriori-all");
     let include_all = flags.has("all");
     let max_length = flags.get_parsed::<usize>("max-length")?;
@@ -351,7 +355,6 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let step = flags.get_parsed::<usize>("step")?.unwrap_or(2);
     let algorithm = match algorithm_name {
         "apriori-all" => Algorithm::AprioriAll,
         "apriori-some" => Algorithm::AprioriSome,
@@ -579,6 +582,23 @@ mod tests {
         assert!(Flags::asks_for_help(&args(&["--in", "x.spmf", "--help"])));
         assert!(!Flags::asks_for_help(&args(&["--in", "x.spmf", "--stats"])));
         assert!(!Flags::asks_for_help(&[]));
+    }
+
+    #[test]
+    fn zero_step_is_a_usage_error_not_a_panic() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = cmd_mine(&args(&[
+            "--in",
+            "never-read.spmf",
+            "--minsup",
+            "0.2",
+            "--algorithm",
+            "dynamic-some",
+            "--step",
+            "0",
+        ]))
+        .expect_err("--step 0 must be rejected");
+        assert!(err.contains("--step"), "{err}");
     }
 
     #[test]

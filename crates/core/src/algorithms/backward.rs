@@ -9,8 +9,8 @@
 //! * a length that was **counted** forward is passed through as-is. (The
 //!   paper also trims known-non-maximal sequences from counted `L_k`s here;
 //!   in this pipeline that trim is exactly the maximal phase, which runs
-//!   right after and does the same quadratic scan *once* over the union
-//!   instead of once per length — doing it in both places measurably
+//!   right after and does the same containment search *once* over the
+//!   union instead of once per length — doing it in both places measurably
 //!   penalized AprioriSome on dense inputs without changing the answer.)
 //!
 //! Containment uses the subset-aware relation: ids denote itemsets, and
@@ -18,17 +18,18 @@
 //! operates on id equality; subset-awareness prunes strictly more while
 //! remaining sound — anything pruned is contained in a large sequence and
 //! hence large-but-non-maximal — so the final maximal answer is unchanged.
-//! DESIGN.md records this as a deliberate choice.)
+//! DESIGN.md records this as a deliberate choice.) The prune runs through
+//! the maximal phase's probe (`PatternProbe`): one hash tree over the
+//! skipped `C_k`, probed by every kept sequence longer than `k`.
 
 use std::collections::BTreeMap;
 
 use crate::arena::CandidateArena;
-use crate::contain::id_subsequence_with_subsets;
+use crate::cast::idx;
 use crate::counting::CountingContext;
 use crate::dataset::Dataset;
-use crate::phases::maximal::LargeIdSequence;
+use crate::phases::maximal::{LargeIdSequence, PatternProbe};
 use crate::stats::{MiningStats, SequencePassStats};
-use crate::types::transformed::LitemsetTable;
 
 /// Forward-phase output handed to the backward phase.
 #[derive(Debug, Default)]
@@ -59,6 +60,7 @@ pub fn backward(
         .unwrap_or(0);
 
     let mut kept: Vec<LargeIdSequence> = Vec::new();
+    let mut probe = PatternProbe::new(ds.table());
     let ForwardOutput {
         mut counted,
         mut skipped,
@@ -76,11 +78,15 @@ pub fn backward(
             // strategy's prefix runs and list cache stay valid.
             let pass_start = crate::stats::Stopwatch::start();
             let before = ck.num_candidates() as u64;
+            let tree = PatternProbe::tree(&ck);
+            let mut contained = vec![false; ck.num_candidates()];
+            for s in kept.iter().filter(|s| s.ids.len() > k) {
+                probe.load(&s.ids);
+                probe.probe(&tree, &ck, |slot| contained[idx(slot)] = true);
+            }
             let mut remaining = CandidateArena::new(k);
-            for ids in ck.iter() {
-                if !contained_in_any(ids, &kept, ds.table()) {
-                    remaining.push(ids);
-                }
+            for (ids, _) in ck.iter().zip(&contained).filter(|&(_, &c)| !c) {
+                remaining.push(ids);
             }
             let pruned = before - remaining.num_candidates() as u64;
             let supports = ctx.count(ds, &remaining);
@@ -106,11 +112,6 @@ pub fn backward(
         }
     }
     kept
-}
-
-fn contained_in_any(ids: &[u32], kept: &[LargeIdSequence], table: &LitemsetTable) -> bool {
-    kept.iter()
-        .any(|k| k.ids.len() > ids.len() && id_subsequence_with_subsets(&k.ids, ids, table))
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //!    AprioriAll.
 //! 2. **Jump** — from exact `L_k` (k a multiple of `step`), the candidates
 //!    of length `k + step` are generated *and counted in the same scan* by
-//!    [`super::otf::otf_generate`] pairing `L_k` with `L_step`; thresholding gives
-//!    exact `L_{k+step}`. Jumps continue while new large sequences appear.
+//!    the pair join of `L_k` with `L_step` ([`super::otf`]); thresholding
+//!    gives exact `L_{k+step}`. Jumps continue while new large sequences
+//!    appear.
 //! 3. **Intermediate** — candidates for the skipped lengths between the
 //!    multiples (and up to `step - 1` beyond the last jump) are generated
 //!    with the ordinary apriori join, from `L_{k-1}` when known, else from
@@ -19,8 +20,8 @@
 use super::apriori_all::{large_one_sequences, SequencePhaseOptions};
 use super::backward::{backward, ForwardOutput};
 use super::candidate;
-use super::otf::otf_generate;
 use crate::arena::CandidateArena;
+use crate::cast::w64;
 use crate::counting::CountingContext;
 use crate::dataset::Dataset;
 use crate::phases::maximal::LargeIdSequence;
@@ -132,16 +133,9 @@ pub fn dynamic_some(
                 _ => break,
             };
             let pass_start = Stopwatch::start();
-            // On-the-fly generation stays serial: it interleaves generation
-            // with counting in one scan and is bound by |L_k|·|L_step|, not
-            // by the customer scan (see DESIGN.md).
-            let counted_pairs = otf_generate(ds, &lk_ids, &l_step_ids, &mut ctx);
-            let generated = counted_pairs.len() as u64;
-            let l_next: Vec<LargeIdSequence> = counted_pairs
-                .into_iter()
-                .filter(|&(_, s)| s >= min_count)
-                .map(|(ids, support)| LargeIdSequence { ids, support })
-                .collect();
+            let l_next = ctx.large_pairs(ds, &lk_ids, &l_step_ids, min_count);
+            // Every pair of L_k × L_step is a candidate, as in pass 2.
+            let generated = w64(lk_ids.num_candidates()) * w64(l_step_ids.num_candidates());
             stats.record_pass(SequencePassStats {
                 k: target,
                 generated,

@@ -12,8 +12,9 @@
 //!   non-maximal.
 //! * [`dynamic_some()`] jumps in fixed `step`s and generates the jumped-to
 //!   candidates **on the fly** from pairs of known large sequences while
-//!   scanning each customer ([`otf`]), at the price of a candidate explosion
-//!   when supports are low.
+//!   scanning each customer ([`otf`]). Every pair is a candidate, the flood
+//!   the paper measured at low support; the join on endpoints counts them
+//!   without a test per pair.
 //!
 //! The algorithms return *supersets of the maximal large sequences* (for
 //! AprioriAll, the complete large set); the maximal phase finishes the job.

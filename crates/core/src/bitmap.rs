@@ -90,9 +90,8 @@
 
 use crate::arena::CandidateArena;
 use crate::cast::{id32, idx, w64};
-use crate::stats::Stopwatch;
+use crate::stats::{MiningStats, Stopwatch};
 use crate::types::transformed::{LitemsetId, TransformedCustomer, TransformedDatabase};
-use crate::vertical::Occurrence;
 use seqpat_itemset::parallel::{map_chunks, sum_partials};
 use std::time::Duration;
 
@@ -597,9 +596,6 @@ pub struct BitmapState {
     /// Customer indices `0..num_customers`, precomputed once so every
     /// [`BitmapState::count`] call can shard without rebuilding the list.
     customers: Vec<u32>,
-    /// Whole-database frontier scratch reused across
-    /// [`BitmapState::occurrences_of`] calls.
-    frontier: Vec<u64>,
     /// Wall time spent building the index.
     pub index_build_time: Duration,
     /// Words processed by the smear kernel so far (the bitmap analogue of
@@ -631,7 +627,6 @@ impl BitmapState {
         Self {
             index,
             customers,
-            frontier: Vec::new(),
             index_build_time,
             sstep_ops: 0,
             lane_words: 0,
@@ -800,52 +795,20 @@ impl BitmapState {
         supports
     }
 
-    /// The earliest-match end of `ids` per supporting customer, written
-    /// into `out` (cleared first) as `(customer, pos)` occurrences —
-    /// identical to [`crate::vertical::VerticalState::occurrences_of`].
-    /// Used by DynamicSome's on-the-fly pass: fold the whole-database
-    /// frontier (into scratch retained on the state), then take the first
-    /// set bit of each non-zero span.
-    pub fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
-        out.clear();
-        if ids.is_empty() {
-            return;
-        }
-        debug_assert!(
-            ids.iter().all(|&id| idx(id) < self.index.num_ids),
-            "every id is within the index alphabet"
-        );
-        let tw = self.index.total_words;
-        let offsets = &self.index.word_offsets;
-        let mut st = KernelCounters::default();
-        let frontier = &mut self.frontier;
-        frontier.clear();
-        frontier.extend_from_slice(self.index.id_words(ids[0], 0, tw));
-        for &id in &ids[1..] {
-            smear_and_spans(offsets, frontier, self.index.id_words(id, 0, tw), &mut st);
-        }
-        self.sstep_ops += st.sstep_ops;
-        self.lane_words += st.lane_words;
-        self.carry_fixups += st.carry_fixups;
-        for (c, span) in offsets.windows(2).enumerate() {
-            let (a, b) = (idx(span[0]), idx(span[1]));
-            for (wi, &w) in frontier[a..b].iter().enumerate() {
-                if w != 0 {
-                    out.push(Occurrence {
-                        customer: id32(c),
-                        pos: id32(wi * 64 + idx(w.trailing_zeros())),
-                    });
-                    break;
-                }
-            }
-        }
+    /// Moves the counters into `tally` (the arena size as a maximum).
+    pub(crate) fn drain_into(&mut self, tally: &mut MiningStats) {
+        tally.bitmap_index_time += std::mem::take(&mut self.index_build_time);
+        tally.sstep_ops += std::mem::take(&mut self.sstep_ops);
+        tally.lane_words += std::mem::take(&mut self.lane_words);
+        tally.carry_fixups += std::mem::take(&mut self.carry_fixups);
+        tally.bitmap_words = tally.bitmap_words.max(self.index().words());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contain::customer_contains_from;
+    use crate::contain::customer_contains;
     use crate::types::itemset::Itemset;
     use crate::types::transformed::{LitemsetTable, TransformedCustomer};
 
@@ -868,16 +831,6 @@ mod tests {
             table,
             total_customers: total,
         }
-    }
-
-    fn occ(customer: u32, pos: u32) -> Occurrence {
-        Occurrence { customer, pos }
-    }
-
-    fn occs(state: &mut BitmapState, ids: &[LitemsetId]) -> Vec<Occurrence> {
-        let mut out = vec![occ(9, 9)]; // stale content must be cleared
-        state.occurrences_of(ids, &mut out);
-        out
     }
 
     #[test]
@@ -958,15 +911,12 @@ mod tests {
         assert_eq!(index.id_words(1, 0, 3), &[0, 1 << 5, 0b10]); // 69 = 64 + 5
     }
 
-    /// Brute-force oracle: count + earliest ends via the containment kernel.
-    fn oracle(db: &TransformedDatabase, cand: &[LitemsetId]) -> Vec<Occurrence> {
+    /// Brute-force oracle: support via the containment kernel.
+    fn oracle(db: &TransformedDatabase, cand: &[LitemsetId]) -> u64 {
         db.customers
             .iter()
-            .enumerate()
-            .filter_map(|(c, customer)| {
-                customer_contains_from(customer, cand, 0).map(|end| occ(c as u32, end as u32))
-            })
-            .collect()
+            .filter(|customer| customer_contains(customer, cand))
+            .count() as u64
     }
 
     #[test]
@@ -994,10 +944,9 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let supports = state.count(&triples, threads);
             for (i, cand) in triples.iter().enumerate() {
-                let expected = oracle(&db, cand);
                 assert_eq!(
                     supports[i],
-                    expected.len() as u64,
+                    oracle(&db, cand),
                     "threads {threads}, candidate {cand:?}"
                 );
             }
@@ -1026,7 +975,6 @@ mod tests {
             );
         }
         assert!(state.carry_fixups > 0);
-        assert_eq!(occs(&mut state, &[0, 1]), vec![occ(0, 69)]);
     }
 
     #[test]
@@ -1058,8 +1006,6 @@ mod tests {
                 "{threads} threads"
             );
         }
-        assert_eq!(occs(&mut state, &[0, 1, 2]), vec![occ(0, 129), occ(1, 195)]);
-        assert_eq!(occs(&mut state, &[2, 1, 0]), vec![occ(2, 150)]);
         assert!(state.carry_fixups > 0);
     }
 
@@ -1074,26 +1020,6 @@ mod tests {
         assert_eq!(state.count(&singles, 1), vec![2, 1]);
         assert_eq!(state.sstep_ops, 0); // length 1 needs no smear
         assert_eq!(state.lane_words, 0);
-    }
-
-    #[test]
-    fn occurrences_of_matches_earliest_match_ends() {
-        let db = tdb(
-            vec![
-                vec![vec![0], vec![0, 1], vec![1]],
-                vec![vec![1], vec![0]],
-                vec![vec![0], vec![1]],
-            ],
-            2,
-        );
-        let mut state = BitmapState::build(&db);
-        assert_eq!(occs(&mut state, &[0, 1]), vec![occ(0, 1), occ(2, 1)]);
-        assert_eq!(occs(&mut state, &[1, 0]), vec![occ(1, 1)]);
-        assert_eq!(
-            occs(&mut state, &[0]),
-            vec![occ(0, 0), occ(1, 1), occ(2, 0)]
-        );
-        assert!(occs(&mut state, &[]).is_empty());
     }
 
     #[test]
@@ -1157,11 +1083,7 @@ mod tests {
         let mut state = BitmapState::build(&db);
         let supports = state.count(&triples, 1);
         for (i, cand) in triples.iter().enumerate() {
-            assert_eq!(
-                supports[i],
-                oracle(&db, cand).len() as u64,
-                "candidate {cand:?}"
-            );
+            assert_eq!(supports[i], oracle(&db, cand), "candidate {cand:?}");
         }
     }
 
@@ -1193,11 +1115,7 @@ mod tests {
         let mut state = BitmapState::build(&db);
         let supports = state.count(&quads, 1);
         for (i, cand) in quads.iter().enumerate() {
-            assert_eq!(
-                supports[i],
-                oracle(&db, cand).len() as u64,
-                "candidate {cand:?}"
-            );
+            assert_eq!(supports[i], oracle(&db, cand), "candidate {cand:?}");
         }
     }
 }

@@ -4,10 +4,11 @@
 //! the subsequence relation: if any embedding of the needle into the hay
 //! exists, the embedding that always picks the earliest feasible hay element
 //! also exists (a straightforward exchange argument — moving a match left
-//! never invalidates later matches).
+//! never invalidates later matches). [`customer_contains_before`] is the
+//! mirror image: greedy latest-match from the end.
 
 use crate::types::itemset::Itemset;
-use crate::types::transformed::{LitemsetId, LitemsetTable, TransformedCustomer};
+use crate::types::transformed::{LitemsetId, TransformedCustomer};
 
 /// `needle ⊑ hay` over itemset sequences (paper §2): indices
 /// `i1 < … < in` must exist with `needle[j] ⊆ hay[i_j]`.
@@ -25,23 +26,6 @@ pub fn sequence_contains(hay: &[Itemset], needle: &[Itemset]) -> bool {
 pub fn id_subsequence(hay: &[LitemsetId], needle: &[LitemsetId]) -> bool {
     let mut hay_iter = hay.iter();
     needle.iter().all(|&n| hay_iter.any(|&h| h == n))
-}
-
-/// Subsequence over litemset ids with **subset-aware** element matching:
-/// `needle[j]` matches `hay[i]` when `itemset(needle[j]) ⊆ itemset(hay[i])`.
-/// This is the true `⊑` of the paper lifted to id space; the maximal phase
-/// and the backward passes of AprioriSome/DynamicSome need it because e.g.
-/// `⟨(30)(40)⟩ ⊑ ⟨(30)(40 70)⟩` even though the ids differ.
-pub fn id_subsequence_with_subsets(
-    hay: &[LitemsetId],
-    needle: &[LitemsetId],
-    table: &LitemsetTable,
-) -> bool {
-    let mut hay_iter = hay.iter();
-    needle.iter().all(|&n| {
-        let n_set = table.itemset(n);
-        hay_iter.any(|&h| n_set.is_subset_of(table.itemset(h)))
-    })
 }
 
 /// Element sizes up to this length are membership-tested with a linear
@@ -82,8 +66,8 @@ pub fn customer_contains(customer: &TransformedCustomer, candidate: &[LitemsetId
 
 /// Like [`customer_contains`] but starts matching at transaction index
 /// `start` and returns the index of the transaction that matched the *last*
-/// candidate element (earliest-match). Used by DynamicSome's on-the-fly
-/// join, which needs split positions.
+/// candidate element (earliest-match). The pair join
+/// ([`crate::algorithms::otf`]) reads a sequence's earliest end from it.
 pub fn customer_contains_from(
     customer: &TransformedCustomer,
     candidate: &[LitemsetId],
@@ -107,6 +91,36 @@ pub fn customer_contains_from(
         return None;
     }
     last
+}
+
+/// The reverse twin of [`customer_contains_from`]: matches the candidate
+/// within the transactions before index `end`, latest-match, and returns
+/// the index of the transaction that matched the *first* candidate element.
+/// Greedy latest matching is exact by the mirrored exchange argument. The
+/// pair join ([`crate::algorithms::otf`]) reads a sequence's latest start
+/// from it.
+pub fn customer_contains_before(
+    customer: &TransformedCustomer,
+    candidate: &[LitemsetId],
+    end: usize,
+) -> Option<usize> {
+    debug_assert!(
+        end <= customer.elements.len(),
+        "the scan cursor ends within the customer"
+    );
+    let mut pos = end;
+    let mut first = None;
+    'outer: for &id in candidate.iter().rev() {
+        while pos > 0 {
+            pos -= 1;
+            if element_contains(&customer.elements[pos], id) {
+                first = Some(pos);
+                continue 'outer;
+            }
+        }
+        return None;
+    }
+    first
 }
 
 #[cfg(test)]
@@ -151,24 +165,6 @@ mod tests {
         assert!(!id_subsequence(&[1, 2], &[1, 1]));
         assert!(id_subsequence(&[], &[]));
         assert!(!id_subsequence(&[], &[1]));
-    }
-
-    #[test]
-    fn id_subsequence_with_subsets_uses_table() {
-        // ids: 0={1}, 1={2}, 2={1,2}
-        let table = LitemsetTable::new(vec![
-            (Itemset::new(vec![1]), 3),
-            (Itemset::new(vec![2]), 3),
-            (Itemset::new(vec![1, 2]), 2),
-        ]);
-        // ⟨{1}⟩ ⊑ ⟨{1,2}⟩
-        assert!(id_subsequence_with_subsets(&[2], &[0], &table));
-        // ⟨{1}{2}⟩ ⊑ ⟨{1,2}{1,2}⟩
-        assert!(id_subsequence_with_subsets(&[2, 2], &[0, 1], &table));
-        // ⟨{1,2}⟩ ⋢ ⟨{1}⟩
-        assert!(!id_subsequence_with_subsets(&[0], &[2], &table));
-        // order matters
-        assert!(!id_subsequence_with_subsets(&[1, 0], &[0, 1], &table));
     }
 
     #[test]
@@ -219,5 +215,21 @@ mod tests {
         assert_eq!(customer_contains_from(&c, &[5, 7], 0), Some(3));
         assert_eq!(customer_contains_from(&c, &[7, 5], 0), None);
         assert_eq!(customer_contains_from(&c, &[5], 3), None);
+    }
+
+    #[test]
+    fn customer_contains_before_reports_start_position() {
+        let c = TransformedCustomer {
+            customer_id: 1,
+            elements: vec![vec![5], vec![6], vec![5], vec![7]],
+        };
+        assert_eq!(customer_contains_before(&c, &[5], 4), Some(2));
+        assert_eq!(customer_contains_before(&c, &[5], 2), Some(0));
+        assert_eq!(customer_contains_before(&c, &[5, 7], 4), Some(2));
+        assert_eq!(customer_contains_before(&c, &[5, 6], 4), Some(0));
+        assert_eq!(customer_contains_before(&c, &[5, 5], 4), Some(0));
+        assert_eq!(customer_contains_before(&c, &[7, 5], 4), None);
+        assert_eq!(customer_contains_before(&c, &[7], 3), None);
+        assert_eq!(customer_contains_before(&c, &[5], 0), None);
     }
 }

@@ -28,20 +28,21 @@
 //! reports merge-joins; the bitmap strategy reports smeared words — all
 //! feed the harness's machine-independent cost counters.
 //!
-//! Pass 2 bypasses the strategy: its candidates are always all `|L1|²`
-//! ordered litemset pairs, so [`CountingContext::large_two`] counts them in
-//! one scan into a pair counter (see [`large_two_sequences`]).
+//! Pass 2 and DynamicSome's jumps bypass the strategy. Both count every
+//! concatenation of two known sets of sequences, so one join on endpoints
+//! counts them ([`crate::algorithms::otf`]); pass 2 is the join of `L1`
+//! with itself ([`CountingContext::large_two`]).
 //!
 //! ## One walk over the rows
 //!
-//! Every scan of the customer rows — `Auto`'s statistics, pass 2, each
-//! later count, and DynamicSome's on-the-fly pass — goes through one shard
-//! walk owned by the [`CountingContext`]. Unsharded, the walk has one
-//! range: a resident table is borrowed in place, and a non-resident one is
-//! decoded on first use and kept for the rest of the run, so the run
-//! decodes it once. Sharded, each range is loaded into scratch in turn, so
-//! only one shard's rows are alive at a time. The walk is also the one
-//! place that counts loads in `shards_processed`/`shard_bytes`.
+//! Every scan of the customer rows — `Auto`'s statistics, each count and
+//! each pair join — goes through one shard walk owned by the
+//! [`CountingContext`]. Unsharded, the walk has one range: a resident table
+//! is borrowed in place, and a non-resident one is decoded on first use and
+//! kept for the rest of the run, so the run decodes it once. Sharded, each
+//! range is loaded into scratch in turn, so only one shard's rows are alive
+//! at a time. The walk is also the one place that counts loads in
+//! `shards_processed`/`shard_bytes`.
 //!
 //! The index strategies follow the same split. Over one range the index is
 //! built on the first count and kept for the run; for the vertical
@@ -55,11 +56,13 @@
 //! ## Parallel counting
 //!
 //! Support is counted per customer, each customer at most once, so the
-//! horizontal strategies shard each walk step's rows into contiguous chunks
-//! via [`seqpat_itemset::parallel::map_chunks`]: every worker owns a private
-//! support array plus private scratch (the presence bitmap for `Direct`,
-//! a [`ProbeScratch`] for `HashTree` — the [`SequenceHashTree`] itself is
-//! built once per count and shared immutably), and the per-chunk arrays and
+//! horizontal strategies and the pair join shard each walk step's rows into
+//! contiguous chunks via [`seqpat_itemset::parallel::map_chunks`] (or
+//! `map_chunks_with`, whose workers keep their buffers across batches):
+//! every worker owns private counts plus private scratch (the presence
+//! bitmap for `Direct`, a [`ProbeScratch`] for `HashTree` — the
+//! [`SequenceHashTree`] itself is built once per count and shared
+//! immutably — and key buffers for the join), and the per-chunk results and
 //! test counters are reduced in chunk order. The vertical strategy shards
 //! **candidates** (prefix runs) instead — see [`crate::vertical`]. Since
 //! the per-candidate counts are exact `u64` sums, parallel runs are
@@ -67,16 +70,17 @@
 //! cost counters all match regardless of thread count or OS scheduling.
 
 use crate::algorithms::apriori_all::SequencePhaseOptions;
+use crate::algorithms::otf::{PairJoin, PAIR_BATCH_ROWS, PAIR_DENSE_CAP_BYTES};
 use crate::arena::CandidateArena;
 use crate::bitmap::BitmapState;
 use crate::cast::{id32, idx, w64};
 use crate::contain::customer_contains;
 use crate::dataset::{shard_ranges, Dataset, ShardScratch};
-use crate::fxhash::FxHashMap;
 use crate::hash_tree::{ProbeScratch, SequenceHashTree};
+use crate::phases::maximal::LargeIdSequence;
 use crate::stats::MiningStats;
-use crate::types::transformed::{LitemsetId, TransformedCustomer};
-use crate::vertical::{Occurrence, VerticalParams, VerticalState};
+use crate::types::transformed::TransformedCustomer;
+use crate::vertical::{VerticalParams, VerticalState};
 use seqpat_itemset::parallel::{map_chunks, map_chunks_with, sum_partials};
 use seqpat_itemset::Parallelism;
 use std::ops::Range;
@@ -369,70 +373,6 @@ impl Counter {
             }
         }
     }
-
-    /// The persistent index over `rows` (the whole table), built on first
-    /// use; `None` for the horizontal strategies.
-    fn index(
-        &mut self,
-        rows: &[TransformedCustomer],
-        num_ids: usize,
-    ) -> Option<&mut dyn OccurrenceIndex> {
-        match self {
-            Counter::Direct | Counter::HashTree(_) => None,
-            Counter::Vertical(params, kept) => {
-                let state = match kept.take() {
-                    Some(state) => state,
-                    None => VerticalState::build_slice(rows, num_ids, *params),
-                };
-                Some(kept.insert(state))
-            }
-            Counter::Bitmap(kept) => {
-                let state = match kept.take() {
-                    Some(state) => state,
-                    None => BitmapState::build_slice(rows, num_ids),
-                };
-                Some(kept.insert(state))
-            }
-        }
-    }
-}
-
-/// What DynamicSome's on-the-fly pass reads from the run's persistent
-/// index, plus the counter drain every index use ends with.
-pub(crate) trait OccurrenceIndex {
-    /// Fills `out` with each customer containing `ids` and the position
-    /// of its earliest match's last element.
-    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>);
-
-    /// Moves the index's counters into `tally` (peaks as a maximum).
-    fn drain_into(&mut self, tally: &mut MiningStats);
-}
-
-impl OccurrenceIndex for VerticalState {
-    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
-        VerticalState::occurrences_of(self, ids, out);
-    }
-
-    fn drain_into(&mut self, tally: &mut MiningStats) {
-        tally.vertical_index_time += std::mem::take(&mut self.index_build_time);
-        tally.join_ops += std::mem::take(&mut self.joins);
-        tally.gallop_skips += std::mem::take(&mut self.gallop_skips);
-        tally.vertical_peak_bytes = tally.vertical_peak_bytes.max(self.peak_bytes);
-    }
-}
-
-impl OccurrenceIndex for BitmapState {
-    fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
-        BitmapState::occurrences_of(self, ids, out);
-    }
-
-    fn drain_into(&mut self, tally: &mut MiningStats) {
-        tally.bitmap_index_time += std::mem::take(&mut self.index_build_time);
-        tally.sstep_ops += std::mem::take(&mut self.sstep_ops);
-        tally.lane_words += std::mem::take(&mut self.lane_words);
-        tally.carry_fixups += std::mem::take(&mut self.carry_fixups);
-        tally.bitmap_words = tally.bitmap_words.max(self.index().words());
-    }
 }
 
 /// The walk every scan of the rows goes through: the configured shard size
@@ -575,77 +515,60 @@ impl CountingContext {
         supports
     }
 
-    /// The walk for DynamicSome's on-the-fly pass: `f` gets each shard's
-    /// rows, the persistent index when the walk has one range and the
-    /// strategy keeps one (built on first use), and the containment-test
-    /// counter.
-    pub(crate) fn scan(
-        &mut self,
-        ds: &dyn Dataset,
-        mut f: impl FnMut(&[TransformedCustomer], Option<&mut dyn OccurrenceIndex>, &mut u64),
-    ) {
-        let num_ids = ds.table().len();
-        let Self {
-            counter,
-            shards,
-            tally,
-            ..
-        } = self;
-        shards.for_each_shard(ds, tally, |rows, whole, tally| {
-            let mut index = if whole {
-                counter.index(rows, num_ids)
-            } else {
-                None
-            };
-            // Reborrowed with a shorter object lifetime, so `index` is free
-            // again for the drain below.
-            let reborrow = index.as_mut().map(|i| &mut **i as &mut dyn OccurrenceIndex);
-            f(rows, reborrow, &mut tally.containment_tests);
-            if let Some(index) = index {
-                index.drain_into(tally);
-            }
-        });
-    }
-
-    /// The pass-2 fast path through this context. See
+    /// Pass 2 through this context: the pair join of `L1 × L1`, every
+    /// litemset with every litemset. Returns `(n², large 2-sequences)`; see
     /// [`large_two_sequences`] for the counting contract.
-    pub fn large_two(
-        &mut self,
-        ds: &dyn Dataset,
-        min_count: u64,
-    ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-        self.large_two_capped(ds, min_count, PAIR_DENSE_CAP_BYTES)
+    pub fn large_two(&mut self, ds: &dyn Dataset, min_count: u64) -> (u64, Vec<LargeIdSequence>) {
+        let n = ds.table().len();
+        let mut l1 = CandidateArena::with_capacity(1, n);
+        for id in 0..id32(n) {
+            l1.push(&[id]);
+        }
+        (w64(n) * w64(n), self.large_pairs(ds, &l1, &l1, min_count))
     }
 
-    /// [`CountingContext::large_two`] with the dense-matrix byte cap as a
+    /// The concatenations `x·y` (`x ∈ lk`, `y ∈ lj`) contained in at least
+    /// `min_count` customers, with their supports, in `(x, y)` order:
+    /// DynamicSome's on-the-fly generation and pass 2 in one join (see
+    /// [`crate::algorithms::otf`]). Counted in one walk; its containment
+    /// tests go to the tally.
+    pub(crate) fn large_pairs(
+        &mut self,
+        ds: &dyn Dataset,
+        lk: &CandidateArena,
+        lj: &CandidateArena,
+        min_count: u64,
+    ) -> Vec<LargeIdSequence> {
+        self.large_pairs_capped(ds, lk, lj, min_count, PAIR_DENSE_CAP_BYTES)
+    }
+
+    /// [`CountingContext::large_pairs`] with the dense-matrix byte cap as a
     /// parameter. One pair counter serves the whole pass; per walk step,
     /// rows go to the workers in [`PAIR_BATCH_ROWS`] batches, and each
-    /// worker fills its pass-long key buffer ([`PairKeys`]) with its
-    /// chunk's pair keys, bumped into the counter in chunk order, then
-    /// shard order — exact integer counts, so the totals match the
-    /// unsharded run bit for bit.
-    fn large_two_capped(
+    /// worker's keys are bumped into the counter in chunk order, then shard
+    /// order — exact integer counts, so the totals match the unsharded
+    /// serial run bit for bit.
+    fn large_pairs_capped(
         &mut self,
         ds: &dyn Dataset,
+        lk: &CandidateArena,
+        lj: &CandidateArena,
         min_count: u64,
         cap_bytes: u64,
-    ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
-        let n = ds.table().len();
-        let threads = self.threads;
-        let mut counts = PairCounts::new(n, cap_bytes);
-        let mut workers = vec![PairKeys::new(n); threads.max(1)];
+    ) -> Vec<LargeIdSequence> {
+        let join = PairJoin::new(lk, lj, ds.table().len());
+        let mut counts = join.counts(cap_bytes);
+        let mut workers = vec![join.worker(); self.threads.max(1)];
         self.shards
             .for_each_shard(ds, &mut self.tally, |rows, _, tally| {
                 for batch in rows.chunks(PAIR_BATCH_ROWS) {
-                    map_chunks_with(batch, &mut workers, |chunk, w| w.gather(chunk, n));
+                    map_chunks_with(batch, &mut workers, |chunk, w| w.gather(chunk, &join));
                     for w in &mut workers {
-                        tally.containment_tests += w64(w.keys.len());
-                        counts.bump(&w.keys);
-                        w.keys.clear();
+                        tally.containment_tests += w.drain_into(&mut counts);
                     }
                 }
             });
-        (w64(n) * w64(n), counts.into_large(n, min_count))
+        join.large(counts, min_count)
     }
 
     /// Moves this run's counters into `stats` (take-semantics: flushing
@@ -766,11 +689,11 @@ fn count_direct_slice(
     (supports, tests_total)
 }
 
-/// Fast path for pass 2 (the candidate set is always **all** `|L1|²`
-/// ordered litemset pairs — the join over 1-sequences is total and the
-/// prune vacuous): count every pair `⟨a b⟩` directly while scanning each
-/// customer once, instead of probing millions of candidates through the
-/// hash tree. This mirrors the special-cased second pass of the original
+/// Pass 2 (the candidate set is always **all** `|L1|²` ordered litemset
+/// pairs — the join over 1-sequences is total and the prune vacuous): the
+/// pair join of `L1` with itself counts every pair `⟨a b⟩` while scanning
+/// each customer once, instead of probing millions of candidates through
+/// the hash tree. This mirrors the special-cased second pass of the original
 /// Apriori implementations (a count array instead of a tree). Every
 /// strategy uses it, so pass-2 cost is strategy-independent.
 ///
@@ -788,7 +711,7 @@ pub fn large_two_sequences(
     min_count: u64,
     parallelism: Parallelism,
     containment_tests: &mut u64,
-) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>) {
+) -> (u64, Vec<LargeIdSequence>) {
     let options = SequencePhaseOptions {
         parallelism,
         ..SequencePhaseOptions::default()
@@ -797,160 +720,6 @@ pub fn large_two_sequences(
     let out = ctx.large_two(ds, min_count);
     *containment_tests += ctx.tally.containment_tests;
     out
-}
-
-/// Largest pass-2 pair counter kept as a dense `n×n` `u32` matrix, in
-/// bytes: 256 MiB holds an 8 192-litemset alphabet. Beyond it the pass
-/// counts pairs in a hash map keyed by the pairs actually seen.
-const PAIR_DENSE_CAP_BYTES: u64 = 256 << 20;
-
-/// Customers per pass-2 key batch: workers gather the pair keys of at most
-/// this many rows at a time into buffers they keep for the pass, so the
-/// buffers stay near 2.6 MB (C10-T2.5-S4-I1.25 at minsup 0.33 %, ~1 270
-/// pairs a customer). With 1 024 rows the kept 16 MB buffer raised the
-/// `sparse-pairs` peak resident set by 3.3 MB.
-const PAIR_BATCH_ROWS: usize = 256;
-
-/// One worker's pass-2 buffers, allocated once per pass and reused by
-/// every batch: the batch's pair keys, the id → `seen` slot map and the
-/// customer's `(id, first transaction, last transaction)` list.
-#[derive(Clone)]
-struct PairKeys {
-    keys: Vec<usize>,
-    slot: Vec<u32>,
-    seen: Vec<(LitemsetId, u32, u32)>,
-}
-
-/// [`PairKeys::slot`] entry of an id the current customer has not shown.
-const UNSEEN: u32 = u32::MAX;
-
-impl PairKeys {
-    /// Empty buffers for an `n`-litemset alphabet.
-    fn new(n: usize) -> Self {
-        Self {
-            keys: Vec::new(),
-            slot: vec![UNSEEN; n],
-            seen: Vec::new(),
-        }
-    }
-
-    /// Appends the pass-2 pair keys of `chunk`: `a·n + b` for every
-    /// distinct pair `⟨a b⟩` each customer contains. The number of keys is
-    /// the containment-test count.
-    ///
-    /// `⟨a b⟩` is contained iff `a` occurs in a transaction strictly before
-    /// one holding `b`, i.e. iff `first[a] < last[b]`. The customer's ids
-    /// are listed in order of first occurrence, so for each `b` the
-    /// matching `a`s are a prefix of that list: every distinct pair comes
-    /// out exactly once, with no per-customer pair list to sort or dedup.
-    fn gather(&mut self, chunk: &[TransformedCustomer], n: usize) {
-        let Self { keys, slot, seen } = self;
-        for customer in chunk {
-            if customer.elements.len() < 2 {
-                continue;
-            }
-            for (t, element) in customer.elements.iter().enumerate() {
-                let t = id32(t);
-                for &id in element {
-                    debug_assert!(idx(id) < n, "pair ids come from the n-litemset alphabet");
-                    match slot[idx(id)] {
-                        UNSEEN => {
-                            slot[idx(id)] = id32(seen.len());
-                            seen.push((id, t, t));
-                        }
-                        s => seen[idx(s)].2 = t,
-                    }
-                }
-            }
-            for &(b, _, last_b) in seen.iter() {
-                let col = idx(b);
-                for &(a, first_a, _) in seen.iter() {
-                    if first_a >= last_b {
-                        break;
-                    }
-                    keys.push(idx(a) * n + col);
-                }
-            }
-            for &(id, _, _) in seen.iter() {
-                slot[idx(id)] = UNSEEN;
-            }
-            seen.clear();
-        }
-    }
-}
-
-/// Whether an `n×n` `u32` pair matrix fits `cap_bytes`.
-fn dense_pairs_fit(n: usize, cap_bytes: u64) -> bool {
-    w64(n)
-        .checked_mul(w64(n))
-        .and_then(|cells| cells.checked_mul(w64(std::mem::size_of::<u32>())))
-        .is_some_and(|bytes| bytes <= cap_bytes)
-}
-
-/// The pass-level pair counter: allocated once per pass, bumped with the
-/// workers' keys in chunk order, then shard order. Its form depends only
-/// on `n` and the byte cap (see [`PairCounts::new`]).
-enum PairCounts {
-    Dense(Vec<u32>),
-    Sparse(FxHashMap<usize, u32>),
-}
-
-impl PairCounts {
-    /// A dense matrix when [`dense_pairs_fit`], a hash map otherwise.
-    fn new(n: usize, cap_bytes: u64) -> Self {
-        if dense_pairs_fit(n, cap_bytes) {
-            PairCounts::Dense(vec![0; n * n])
-        } else {
-            PairCounts::Sparse(FxHashMap::default())
-        }
-    }
-
-    fn bump(&mut self, keys: &[usize]) {
-        match self {
-            PairCounts::Dense(counts) => {
-                // A slice held in registers: bumping through the `Vec`
-                // reloaded its data pointer on every key when the counter
-                // is reached through a closure capture.
-                let counts = counts.as_mut_slice();
-                for &key in keys {
-                    debug_assert!(key < counts.len(), "pair keys index the n×n matrix");
-                    counts[key] += 1;
-                }
-            }
-            PairCounts::Sparse(counts) => {
-                for &key in keys {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-
-    /// The pairs counted at least `min_count` times over an `n`-litemset
-    /// alphabet, in lexicographic `(a, b)` order (key order, since
-    /// `key = a·n + b` with `b < n`).
-    fn into_large(self, n: usize, min_count: u64) -> Vec<crate::phases::maximal::LargeIdSequence> {
-        use crate::phases::maximal::LargeIdSequence;
-        let large = |&(_, c): &(usize, u32)| u64::from(c) >= min_count;
-        let entries: Vec<(usize, u32)> = match self {
-            PairCounts::Dense(counts) => {
-                debug_assert!(counts.len() == n * n, "dense matrix is n×n");
-                counts.into_iter().enumerate().filter(large).collect()
-            }
-            PairCounts::Sparse(counts) => {
-                let mut entries: Vec<(usize, u32)> = counts.into_iter().filter(large).collect();
-                entries.sort_unstable();
-                entries
-            }
-        };
-        entries
-            .into_iter()
-            .map(|(key, c)| LargeIdSequence {
-                // seqpat-lint: allow(no-alloc-in-hot-loop) one owned ids vec per emitted large sequence — output-proportional, not input-proportional
-                ids: vec![id32(key / n), id32(key % n)],
-                support: u64::from(c),
-            })
-            .collect()
-    }
 }
 
 /// Probes a prebuilt hash tree over a row slice (one shard or the whole
@@ -1001,7 +770,9 @@ fn probe_hash_tree(
 mod tests {
     use super::*;
     use crate::types::itemset::Itemset;
-    use crate::types::transformed::{LitemsetTable, TransformedCustomer, TransformedDatabase};
+    use crate::types::transformed::{
+        LitemsetId, LitemsetTable, TransformedCustomer, TransformedDatabase,
+    };
 
     fn arena(rows: &[Vec<LitemsetId>]) -> CandidateArena {
         CandidateArena::from_rows(
@@ -1286,21 +1057,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_storage_depends_only_on_alphabet_and_cap() {
-        assert!(dense_pairs_fit(0, 0));
-        assert!(!dense_pairs_fit(1, 0));
-        assert!(dense_pairs_fit(1, 4));
-        assert!(dense_pairs_fit(8192, PAIR_DENSE_CAP_BYTES));
-        assert!(!dense_pairs_fit(8193, PAIR_DENSE_CAP_BYTES));
-        assert!(!dense_pairs_fit(usize::MAX, u64::MAX));
-        assert!(matches!(PairCounts::new(5, 0), PairCounts::Sparse(_)));
-        assert!(matches!(
-            PairCounts::new(5, PAIR_DENSE_CAP_BYTES),
-            PairCounts::Dense(_)
-        ));
-    }
-
-    #[test]
     fn auto_scan_streams_configured_shards_and_counts_them() {
         let db = synth_tdb(100, 8, 4);
         let scan = |ds: &dyn Dataset, shard_customers| {
@@ -1481,7 +1237,9 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::types::itemset::Itemset;
-    use crate::types::transformed::{LitemsetTable, TransformedCustomer, TransformedDatabase};
+    use crate::types::transformed::{
+        LitemsetId, LitemsetTable, TransformedCustomer, TransformedDatabase,
+    };
     use proptest::prelude::*;
 
     const NUM_LITEMSETS: usize = 6;
@@ -1543,10 +1301,7 @@ mod proptests {
     /// holding `b`. Returns `(candidates, large 2-sequences in (a, b)
     /// order, containment tests)`, one test per contained pair per
     /// customer.
-    fn naive_pass2(
-        db: &TransformedDatabase,
-        min_count: u64,
-    ) -> (u64, Vec<crate::phases::maximal::LargeIdSequence>, u64) {
+    fn naive_pass2(db: &TransformedDatabase, min_count: u64) -> (u64, Vec<LargeIdSequence>, u64) {
         let n = db.table.len() as LitemsetId;
         let mut large = Vec::new();
         let mut tests = 0u64;
@@ -1563,7 +1318,7 @@ mod proptests {
                     .count() as u64;
                 tests += support;
                 if support >= min_count {
-                    large.push(crate::phases::maximal::LargeIdSequence {
+                    large.push(LargeIdSequence {
                         ids: vec![a, b],
                         support,
                     });
@@ -1571,6 +1326,32 @@ mod proptests {
             }
         }
         (u64::from(n) * u64::from(n), large, tests)
+    }
+
+    /// The pair join by brute force: every `x·y` of `lk × lj` tested
+    /// against every customer with [`customer_contains`]; the large ones in
+    /// `(x, y)` order.
+    fn naive_join(
+        db: &TransformedDatabase,
+        lk: &CandidateArena,
+        lj: &CandidateArena,
+        min_count: u64,
+    ) -> Vec<LargeIdSequence> {
+        let mut large = Vec::new();
+        for x in lk.iter() {
+            for y in lj.iter() {
+                let ids = [x, y].concat();
+                let support = db
+                    .customers
+                    .iter()
+                    .filter(|c| customer_contains(c, &ids))
+                    .count() as u64;
+                if support >= min_count {
+                    large.push(LargeIdSequence { ids, support });
+                }
+            }
+        }
+        large
     }
 
     proptest! {
@@ -1652,9 +1433,10 @@ mod proptests {
             }
         }
 
-        /// Pass 2 against a brute-force recount, for every shard size,
-        /// thread count and both pair-counter forms (a zero byte cap forces
-        /// the hash map).
+        /// Pass 2 and the pair join of two drawn sides (lengths 1–3)
+        /// against brute-force recounts, for every shard size, thread count
+        /// and both pair-counter forms (a zero byte cap forces the hash
+        /// map).
         #[test]
         fn pass2_matches_naive_recount(
             raw_db in proptest::collection::vec(
@@ -1665,9 +1447,21 @@ mod proptests {
                 0..12,
             ),
             min_count in 1u64..4,
+            sides in (
+                (1usize..4, proptest::collection::vec((0u8..12, 0u8..12, 0u8..12), 0..10)),
+                (1usize..4, proptest::collection::vec((0u8..12, 0u8..12, 0u8..12), 0..10)),
+            ),
         ) {
             let db = build_tdb(raw_db);
             let expected = naive_pass2(&db, min_count);
+            let mut l1 = CandidateArena::new(1);
+            for id in 0..NUM_LITEMSETS as LitemsetId {
+                l1.push(&[id]);
+            }
+            let ((lk_len, lk_raw), (lj_len, lj_raw)) = sides;
+            let (lk, lj) = (build_candidates(lk_raw, lk_len), build_candidates(lj_raw, lj_len));
+            let expected_join = naive_join(&db, &lk, &lj, min_count);
+            let mut join_tests = None;
             for cap in [PAIR_DENSE_CAP_BYTES, 0] {
                 for shard in [None, Some(1), Some(3), Some(7)] {
                     for threads in [1usize, 2, 3] {
@@ -1677,12 +1471,20 @@ mod proptests {
                             ..SequencePhaseOptions::default()
                         };
                         let mut ctx = CountingContext::new(&db, &options);
-                        let (candidates, large) = ctx.large_two_capped(&db, min_count, cap);
+                        let large = ctx.large_pairs_capped(&db, &l1, &l1, min_count, cap);
                         prop_assert_eq!(
-                            (candidates, large, ctx.tally.containment_tests),
+                            (l1.num_candidates().pow(2) as u64, large, ctx.tally.containment_tests),
                             expected.clone(),
                             "cap {} shard {:?} threads {}", cap, shard, threads
                         );
+                        let mut ctx = CountingContext::new(&db, &options);
+                        let large = ctx.large_pairs_capped(&db, &lk, &lj, min_count, cap);
+                        prop_assert_eq!(
+                            &large, &expected_join,
+                            "sides {}×{} cap {} shard {:?} threads {}", lk_len, lj_len, cap, shard, threads
+                        );
+                        let tests = *join_tests.get_or_insert(ctx.tally.containment_tests);
+                        prop_assert_eq!(ctx.tally.containment_tests, tests);
                     }
                 }
             }

@@ -6,13 +6,8 @@
 //! when no id matches: `⟨(30)(40)⟩ ⊑ ⟨(30)(40 70)⟩`.
 //!
 //! Complexity note: as the paper suggests, this runs through the sequence
-//! phase's hash tree. Expanding each element of a pattern into every
-//! litemset id whose itemset is a subset of it (the transformation phase
-//! applied to patterns) makes subset-aware containment plain id
-//! containment, so the sequences a pattern contains are one
-//! [`SequenceHashTree`] probe with the pattern as the customer: one probe
-//! per kept pattern instead of one test per (kept, candidate) pair. The
-//! probe's counters are not reported, so the sequence phase's stay its own.
+//! phase's hash tree (`PatternProbe`): one probe per kept pattern instead
+//! of one test per (kept, candidate) pair.
 
 use crate::arena::CandidateArena;
 use crate::cast::idx;
@@ -54,6 +49,73 @@ pub fn maximal_phase(
     kept.map(|(s, _)| s).collect()
 }
 
+/// Subset-aware containment as a hash-tree probe. Expanding each element
+/// of a pattern into every litemset id whose itemset is a subset of it (the
+/// transformation phase applied to patterns) makes subset-aware containment
+/// plain id containment, so the sequences a pattern contains are one
+/// [`SequenceHashTree`] probe with the pattern as the customer. The maximal
+/// phase and the backward prune of AprioriSome and DynamicSome both run
+/// through it. The probe's counters are not reported, so the sequence
+/// phase's stay its own.
+pub(crate) struct PatternProbe<'a> {
+    table: &'a LitemsetTable,
+    expand: TransformContext<'a>,
+    pattern: TransformedCustomer,
+    scratch: ProbeScratch,
+}
+
+impl<'a> PatternProbe<'a> {
+    pub(crate) fn new(table: &'a LitemsetTable) -> Self {
+        Self {
+            table,
+            expand: TransformContext::new(table),
+            pattern: TransformedCustomer {
+                customer_id: 0,
+                elements: Vec::new(),
+            },
+            scratch: ProbeScratch::new(table.len()),
+        }
+    }
+
+    /// A tree over `candidates` for [`PatternProbe::probe`].
+    pub(crate) fn tree(candidates: &CandidateArena) -> SequenceHashTree {
+        let TreeParams {
+            fanout,
+            leaf_capacity,
+        } = TreeParams::default();
+        SequenceHashTree::build(candidates, fanout, leaf_capacity)
+    }
+
+    /// Makes `ids` the pattern the next probes test, and returns its
+    /// expanded elements.
+    pub(crate) fn load(&mut self, ids: &[LitemsetId]) -> &[Vec<LitemsetId>] {
+        let elements = &mut self.pattern.elements;
+        elements.resize_with(ids.len(), Vec::new);
+        for (element, &id) in elements.iter_mut().zip(ids) {
+            self.expand.contained_ids(self.table.itemset(id), element);
+        }
+        elements
+    }
+
+    /// Calls `on_match(slot)` for every candidate of `tree` (built over
+    /// `candidates`) contained in the loaded pattern.
+    pub(crate) fn probe(
+        &mut self,
+        tree: &SequenceHashTree,
+        candidates: &CandidateArena,
+        mut on_match: impl FnMut(u32),
+    ) {
+        tree.for_each_contained(
+            &self.pattern,
+            candidates,
+            &mut self.scratch,
+            &mut 0,
+            &mut 0,
+            &mut on_match,
+        );
+    }
+}
+
 /// `dropped[i]`: `large[i]` is contained in another sequence of `large`,
 /// or equals an earlier one.
 fn contained_in_others(large: &[LargeIdSequence], table: &LitemsetTable) -> Vec<bool> {
@@ -79,48 +141,28 @@ fn contained_in_others(large: &[LargeIdSequence], table: &LitemsetTable) -> Vec<
             }
         }
     }
-    let TreeParams {
-        fanout,
-        leaf_capacity,
-    } = TreeParams::default();
     let trees: Vec<SequenceHashTree> = by_len
         .iter()
-        .map(|(arena, _)| SequenceHashTree::build(arena, fanout, leaf_capacity))
+        .map(|(arena, _)| PatternProbe::tree(arena))
         .collect();
 
-    let ctx = TransformContext::new(table);
-    let mut pattern = TransformedCustomer {
-        customer_id: 0,
-        elements: Vec::new(),
-    };
-    let mut scratch = ProbeScratch::new(table.len());
+    let mut probe = PatternProbe::new(table);
     for (pos, s) in large.iter().enumerate() {
         // A dropped sequence's container contains all it contains.
         if dropped[pos] {
             continue;
         }
-        pattern.elements.resize_with(s.ids.len(), Vec::new);
-        for (element, &id) in pattern.elements.iter_mut().zip(&s.ids) {
-            ctx.contained_ids(table.itemset(id), element);
-        }
-        for &id in pattern.elements.iter().flatten() {
+        for &id in probe.load(&s.ids).iter().flatten() {
             if let Some(found) = single[idx(id)].filter(|&found| found != pos) {
                 dropped[found] = true;
             }
         }
         for (len, tree) in trees.iter().enumerate().take(s.ids.len() + 1).skip(2) {
-            let positions = &by_len[len].1;
-            tree.for_each_contained(
-                &pattern,
-                &by_len[len].0,
-                &mut scratch,
-                &mut 0,
-                &mut 0,
-                &mut |slot| {
-                    let found = positions[idx(slot)];
-                    dropped[found] |= found != pos;
-                },
-            );
+            let (arena, positions) = &by_len[len];
+            probe.probe(tree, arena, |slot| {
+                let found = positions[idx(slot)];
+                dropped[found] |= found != pos;
+            });
         }
     }
     dropped

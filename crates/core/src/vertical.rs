@@ -76,7 +76,7 @@
 
 use crate::arena::CandidateArena;
 use crate::cast::{id32, idx, w64};
-use crate::stats::Stopwatch;
+use crate::stats::{MiningStats, Stopwatch};
 use crate::types::transformed::{LitemsetId, TransformedCustomer, TransformedDatabase};
 use seqpat_itemset::parallel::map_chunks;
 use std::time::Duration;
@@ -440,8 +440,6 @@ pub struct VerticalState {
     params: VerticalParams,
     /// Lists of the last counted pass, keyed by that pass's sorted arena.
     cache: Option<(CandidateArena, OccLists)>,
-    /// Join scratch reused across [`VerticalState::occurrences_of`] calls.
-    fold_tmp: Vec<Occurrence>,
     /// Wall time spent building the index.
     pub index_build_time: Duration,
     /// Merge-joins executed so far (the vertical analogue of an exact
@@ -478,7 +476,6 @@ impl VerticalState {
             index,
             params,
             cache: None,
-            fold_tmp: Vec::new(),
             index_build_time,
             joins: 0,
             gallop_skips: 0,
@@ -598,28 +595,12 @@ impl VerticalState {
         supports
     }
 
-    /// The occurrence list of one sequence, written into `out` (cleared
-    /// first): a cache lookup when the last counted pass covered it, else a
-    /// fold from the index lists (counted in [`VerticalState::joins`]). The
-    /// out-parameter lets DynamicSome's on-the-fly pass reuse one buffer
-    /// across its whole `Lk` loop instead of allocating per sequence.
-    pub fn occurrences_of(&mut self, ids: &[LitemsetId], out: &mut Vec<Occurrence>) {
-        out.clear();
-        if ids.is_empty() {
-            return;
-        }
-        if let Some((arena, lists)) = &self.cache {
-            if arena.candidate_len() == ids.len() {
-                if let Ok(i) = arena.binary_search(ids) {
-                    out.extend_from_slice(lists.list(i));
-                    return;
-                }
-            }
-        }
-        let mut st = JoinCounters::default();
-        fold_prefix(&self.index, ids, out, &mut self.fold_tmp, &mut st);
-        self.joins += st.joins;
-        self.gallop_skips += st.gallop_skips;
+    /// Moves the counters into `tally` (the peak as a maximum).
+    pub(crate) fn drain_into(&mut self, tally: &mut MiningStats) {
+        tally.vertical_index_time += std::mem::take(&mut self.index_build_time);
+        tally.join_ops += std::mem::take(&mut self.joins);
+        tally.gallop_skips += std::mem::take(&mut self.gallop_skips);
+        tally.vertical_peak_bytes = tally.vertical_peak_bytes.max(self.peak_bytes);
     }
 }
 
@@ -833,26 +814,6 @@ mod tests {
         assert_eq!(cold.count(&triples, 1), s3);
         assert_eq!(cold.joins, 5);
         assert_eq!(s3, vec![2]); // customers 0 and 1 contain ⟨0 1 2⟩
-    }
-
-    #[test]
-    fn occurrences_of_matches_earliest_match_ends() {
-        let db = tdb(
-            vec![
-                vec![vec![0], vec![0, 1], vec![1]],
-                vec![vec![1], vec![0]],
-                vec![vec![0], vec![1]],
-            ],
-            2,
-        );
-        let mut state = VerticalState::build(&db, VerticalParams::default());
-        let mut out = vec![occ(9, 9)]; // stale content must be cleared
-        state.occurrences_of(&[0, 1], &mut out);
-        assert_eq!(out, vec![occ(0, 1), occ(2, 1)]);
-        state.occurrences_of(&[1, 0], &mut out);
-        assert_eq!(out, vec![occ(1, 1)]);
-        state.occurrences_of(&[], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

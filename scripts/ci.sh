@@ -88,11 +88,12 @@ grep -q "shards: 1 processed" "$smoke/mmap-whole.stats" || {
 }
 echo "shard smoke: mem and mmap outputs identical ($(wc -l < "$smoke/mem.txt") patterns)"
 
-echo "==> hash-tree smoke (hashtree vs direct counting, multi-level tree)"
+echo "==> hash-tree smoke (hashtree vs direct counting, multi-level tree, DynamicSome)"
 # The sequence hash tree splits a leaf past 32 candidates (its default
 # capacity). At this size and minsup pass 3 counts a few hundred
 # candidates, so the probe walks interior nodes; its patterns must be
-# byte-identical to Direct's presence-filtered scan.
+# byte-identical to Direct's presence-filtered scan. DynamicSome's jumps
+# (the pair join) and backward prune must give AprioriAll's patterns too.
 hsmoke=target/ci-results/hashtree-smoke
 mkdir -p "$hsmoke"
 cargo run --release -q -p seqpat-cli -- gen \
@@ -105,6 +106,12 @@ cargo run --release -q -p seqpat-cli -- mine \
   > "$hsmoke/direct.txt" 2> /dev/null
 [ -s "$hsmoke/hashtree.txt" ] || { echo "hash-tree smoke: no patterns mined" >&2; exit 1; }
 diff "$hsmoke/hashtree.txt" "$hsmoke/direct.txt"
+for step in 2 3; do
+  cargo run --release -q -p seqpat-cli -- mine \
+    --in "$hsmoke/data.spmf" --minsup 0.005 --algorithm dynamic-some --step "$step" \
+    > "$hsmoke/dynamic-some-$step.txt" 2> /dev/null
+  diff "$hsmoke/hashtree.txt" "$hsmoke/dynamic-some-$step.txt"
+done
 # Guard against a one-leaf tree: some pass k >= 3 must count more than 32
 # candidates ("pass k=3: generated N  counted M ...").
 awk '/pass k=/ { k = substr($2, 3, length($2) - 3) + 0; if (k >= 3 && $6 > 32) big = 1 }
@@ -113,7 +120,7 @@ awk '/pass k=/ { k = substr($2, 3, length($2) - 3) + 0; if (k >= 3 && $6 > 32) b
   cat "$hsmoke/hashtree.stats" >&2
   exit 1
 }
-echo "hash-tree smoke: hashtree and direct outputs identical ($(wc -l < "$hsmoke/hashtree.txt") patterns)"
+echo "hash-tree smoke: hashtree, direct and dynamic-some outputs identical ($(wc -l < "$hsmoke/hashtree.txt") patterns)"
 
 echo "==> serve smoke (gen → mine → index → query, trie vs oracle diff)"
 # End-to-end serving check through the CLI: mine an index, sample a query
