@@ -50,7 +50,6 @@ fn bench_counting_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("counting_strategy");
     group.sample_size(10);
     for (name, strategy) in [
-        ("direct", CountingStrategy::Direct),
         ("hash_tree", CountingStrategy::HashTree),
         ("vertical", CountingStrategy::Vertical),
     ] {

@@ -3,15 +3,15 @@
 //!
 //! E7 cells:
 //!
-//! * counting strategy: all four explicit strategies — the paper's
-//!   candidate hash tree, the direct bitmap-prefiltered scan, the vertical
-//!   occurrence-index joins, the SPAM-style bitmap S-step kernel — plus
-//!   the `auto` selector, one serial cell each;
+//! * counting strategy: all three explicit strategies — the paper's
+//!   candidate hash tree, the vertical occurrence-index joins, the
+//!   SPAM-style bitmap S-step kernel — plus the `auto` selector, one serial
+//!   cell each;
 //! * hash-tree shape: fanout × leaf-capacity grid;
 //! * counting threads: 2 / 4 workers for the explicit strategies.
 //!
 //! Results are identical across all cells by construction (the property
-//! tests pin that) and every cell is asserted against the direct baseline,
+//! tests pin that) and every cell is asserted against the hash-tree baseline,
 //! so any strategy disagreement aborts the run with a non-zero exit. Only
 //! the time and the per-strategy work counters move. The work counters are
 //! *not* comparable unit-for-unit across strategies — horizontal strategies
@@ -33,17 +33,15 @@ use seqpat_core::counting::TreeParams;
 use seqpat_core::{CountingStrategy, MinSupport, MinerConfig, Parallelism};
 use seqpat_datagen::{generate, GenParams};
 
-/// The four explicit strategies, baseline first.
-const STRATEGIES: [CountingStrategy; 4] = [
-    CountingStrategy::Direct,
+/// The three explicit strategies, baseline (the paper's hash tree) first.
+const STRATEGIES: [CountingStrategy; 3] = [
     CountingStrategy::HashTree,
     CountingStrategy::Vertical,
     CountingStrategy::Bitmap,
 ];
 
 /// Everything E7's serial smoke covers: the explicit strategies plus Auto.
-const SERIAL_CELLS: [CountingStrategy; 5] = [
-    CountingStrategy::Direct,
+const SERIAL_CELLS: [CountingStrategy; 4] = [
     CountingStrategy::HashTree,
     CountingStrategy::Vertical,
     CountingStrategy::Bitmap,
@@ -113,20 +111,20 @@ fn main() {
         m
     };
     // One serial cell per strategy, Auto included; a pattern-set mismatch
-    // against the direct baseline aborts the run (non-zero exit).
-    let mut direct: Option<MiningMeasurement> = None;
+    // against the hash-tree baseline aborts the run (non-zero exit).
+    let mut baseline: Option<MiningMeasurement> = None;
     for strategy in SERIAL_CELLS {
         let m = serial(strategy);
-        if let Some(baseline) = &direct {
+        if let Some(baseline) = &baseline {
             assert_eq!(
                 m.patterns, baseline.patterns,
-                "{strategy} disagrees with the direct baseline on the answer"
+                "{strategy} disagrees with the hash-tree baseline on the answer"
             );
         } else {
-            direct = Some(m);
+            baseline = Some(m);
         }
     }
-    let direct = direct.expect("baseline cell");
+    let baseline = baseline.expect("baseline cell");
 
     for fanout in [4usize, 16, 64] {
         for leaf_capacity in [8usize, 32, 128] {
@@ -139,7 +137,7 @@ fn main() {
             };
             let m = measure_config(&db, dataset, minsup, config);
             assert_eq!(
-                m.patterns, direct.patterns,
+                m.patterns, baseline.patterns,
                 "strategies must agree on the answer"
             );
             table.row(vec![
@@ -176,7 +174,7 @@ fn main() {
                 .parallelism(Parallelism::threads(threads));
             let m = measure_config(&db, dataset, minsup, config);
             assert_eq!(
-                m.patterns, direct.patterns,
+                m.patterns, baseline.patterns,
                 "thread count must not change the answer"
             );
             assert_eq!(m.threads, threads);
@@ -273,8 +271,9 @@ fn main() {
             ));
             cells.push((strategy, m));
         }
-        let hashtree = &cells[1].1;
-        let vertical = &cells[2].1;
+        // `STRATEGIES` order: the hash tree, then vertical.
+        let hashtree = &cells[0].1;
+        let vertical = &cells[1].1;
         if ops(vertical) < ops(hashtree) {
             vertical_beats_hashtree = true;
         }

@@ -25,8 +25,7 @@ use seqpat_core::counting::{AUTO_BITMAP_CAP_BYTES, AUTO_DENSITY_CROSSOVER, AUTO_
 use seqpat_core::{CountingStrategy, MinSupport, Miner, MinerConfig, Parallelism};
 use seqpat_datagen::{generate, GenParams};
 
-/// The racers: one cell per explicit index strategy (direct is strictly
-/// dominated by the hash tree on these sizes and would double runtime).
+/// The racers: one cell per explicit strategy.
 const RACERS: [CountingStrategy; 3] = [
     CountingStrategy::HashTree,
     CountingStrategy::Vertical,

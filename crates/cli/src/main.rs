@@ -6,7 +6,7 @@
 //!               customers are streamed to disk, never resident all at once)
 //! seqmine mine  --in data.spmf  --minsup 0.01 [--algorithm apriori-all|apriori-some|dynamic-some|prefixspan]
 //!               [--step K] [--all] [--max-length L] [--window W] [--threads N|auto]
-//!               [--strategy direct|hashtree|vertical|bitmap|auto] [--vertical-cache-mb N]
+//!               [--strategy hashtree|vertical|bitmap|auto] [--vertical-cache-mb N]
 //!               [--backend mem|mmap] [--shard-customers N]
 //!               [--format spmf|csv] [--stats]
 //! seqmine stats --in data.spmf [--format spmf|csv]
@@ -72,7 +72,7 @@ seqmine — sequential pattern mining (Agrawal & Srikant, ICDE 1995)
 
 commands:
   gen      generate a synthetic dataset        (--out FILE [--dataset NAME] [--customers N] [--seed S] [--format spmf|csv|colstore] [--minsup F])
-  mine     mine maximal sequential patterns    (--in FILE --minsup F [--algorithm NAME] [--step K] [--all] [--max-length L] [--window W] [--threads N|auto] [--strategy direct|hashtree|vertical|bitmap|auto] [--vertical-cache-mb N] [--backend mem|mmap] [--shard-customers N] [--stats])
+  mine     mine maximal sequential patterns    (--in FILE --minsup F [--algorithm NAME] [--step K] [--all] [--max-length L] [--window W] [--threads N|auto] [--strategy hashtree|vertical|bitmap|auto] [--vertical-cache-mb N] [--backend mem|mmap] [--shard-customers N] [--stats])
   stats    print dataset statistics            (--in FILE)
   convert  convert between spmf and csv        (--in FILE --out FILE; --out x.colstore --minsup F builds the on-disk store)
   queries  sample a query workload from an index (--index FILE --out FILE [--count N] [--skew F] [--miss-rate F] [--seed S])
@@ -261,6 +261,9 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     let algorithm_name = flags.get("algorithm").unwrap_or("apriori-all");
     let include_all = flags.has("all");
     let max_length = flags.get_parsed::<usize>("max-length")?;
+    if max_length == Some(0) {
+        return Err("--max-length must be positive".into());
+    }
     // Support counting threads: a number, or "auto" (default) for one per
     // core. Results are bit-identical regardless of the value.
     let parallelism = match flags.get("threads") {
@@ -274,8 +277,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     };
     // Support counting strategy (paper algorithms only; ignored by
     // prefixspan/gsp which have their own counting machinery). "auto"
-    // resolves to bitmap/vertical/hashtree from database statistics after
-    // the transformation phase (--stats shows the choice and why).
+    // resolves to bitmap/vertical/hashtree from database statistics that
+    // pass 2 gathers as it reads the rows (--stats shows the choice and why).
     let strategy = match flags.get("strategy") {
         None => CountingStrategy::default(),
         Some(v) => v.parse::<CountingStrategy>().map_err(|e| e.to_string())?,
@@ -314,6 +317,9 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     }
 
     if algorithm_name == "gsp" {
+        if max_length.is_some() {
+            return Err("--max-length is not supported by gsp, which has no length cap".into());
+        }
         let db = load_mem_db()?;
         let mut config = GspConfig::default();
         if let Some(g) = flags.get_parsed::<i64>("min-gap")? {
@@ -602,6 +608,40 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_length_is_a_usage_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = cmd_mine(&args(&[
+            "--in",
+            "never-read.spmf",
+            "--minsup",
+            "0.2",
+            "--max-length",
+            "0",
+        ]))
+        .expect_err("--max-length 0 must be rejected");
+        assert!(err.contains("--max-length must be positive"), "{err}");
+    }
+
+    #[test]
+    fn gsp_rejects_a_length_cap_it_would_ignore() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for cap in ["1", "2"] {
+            let err = cmd_mine(&args(&[
+                "--in",
+                "never-read.spmf",
+                "--minsup",
+                "0.2",
+                "--algorithm",
+                "gsp",
+                "--max-length",
+                cap,
+            ]))
+            .expect_err("gsp has no length cap");
+            assert!(err.contains("--max-length"), "{err}");
+        }
+    }
+
+    #[test]
     fn bad_numeric_value_is_an_error() {
         let f = flags(&["--minsup", "abc"], &[]);
         assert!(f.get_parsed::<f64>("minsup").is_err());
@@ -738,14 +778,7 @@ mod tests {
             "30".into(),
         ])
         .unwrap();
-        for strategy in [
-            "direct",
-            "hashtree",
-            "hash-tree",
-            "vertical",
-            "bitmap",
-            "auto",
-        ] {
+        for strategy in ["hashtree", "hash-tree", "vertical", "bitmap", "auto"] {
             cmd_mine(&[
                 "--in".into(),
                 path.clone(),
@@ -780,15 +813,21 @@ mod tests {
             "lots".into(),
         ])
         .is_err());
-        assert!(cmd_mine(&[
-            "--in".into(),
-            path,
-            "--minsup".into(),
-            "0.2".into(),
-            "--strategy".into(),
-            "bogus".into(),
-        ])
-        .is_err());
+        for bad in ["bogus", "direct"] {
+            let err = cmd_mine(&[
+                "--in".into(),
+                path.clone(),
+                "--minsup".into(),
+                "0.2".into(),
+                "--strategy".into(),
+                bad.into(),
+            ])
+            .expect_err("unknown strategies are rejected");
+            assert!(
+                err.contains("expected hashtree, vertical, bitmap, or auto"),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

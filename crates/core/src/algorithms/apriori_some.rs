@@ -32,7 +32,7 @@ pub fn apriori_some(
     options: &SequencePhaseOptions,
     stats: &mut MiningStats,
 ) -> Vec<LargeIdSequence> {
-    let mut ctx = CountingContext::new(ds, options);
+    let mut ctx = CountingContext::new(options);
     let pass_start = Stopwatch::start();
     let l1 = large_one_sequences(ds);
     stats.record_pass(SequencePassStats {

@@ -137,7 +137,7 @@ mod tests {
             .insert(1, vec![ls(vec![0], 4), ls(vec![4], 3)]);
         forward.counted.insert(2, vec![ls(vec![0, 4], 2)]);
         let mut stats = MiningStats::default();
-        let mut ctx = CountingContext::new(&tdb, &SequencePhaseOptions::default());
+        let mut ctx = CountingContext::new(&SequencePhaseOptions::default());
         let kept = backward(&tdb, 2, &mut ctx, &mut stats, forward);
         // Counted lengths are passed through longest-first; the maximal
         // phase (not the backward pass) trims ⟨0⟩ and ⟨4⟩ later.
@@ -161,7 +161,7 @@ mod tests {
         // awareness: (40) ⊆ (40 70) → pruned).
         forward.skipped.insert(1, arena(&[&[0], &[1], &[4]]));
         let mut stats = MiningStats::default();
-        let mut ctx = CountingContext::new(&tdb, &SequencePhaseOptions::default());
+        let mut ctx = CountingContext::new(&SequencePhaseOptions::default());
         let kept = backward(&tdb, 2, &mut ctx, &mut stats, forward);
         let mut got: Vec<Vec<u32>> = kept.iter().map(|s| s.ids.clone()).collect();
         got.sort();
@@ -182,7 +182,7 @@ mod tests {
         // ⟨4 4⟩ has support 0 in the paper database.
         forward.skipped.insert(2, arena(&[&[4, 4]]));
         let mut stats = MiningStats::default();
-        let mut ctx = CountingContext::new(&tdb, &SequencePhaseOptions::default());
+        let mut ctx = CountingContext::new(&SequencePhaseOptions::default());
         let kept = backward(&tdb, 2, &mut ctx, &mut stats, forward);
         assert!(kept.is_empty());
     }
@@ -191,7 +191,7 @@ mod tests {
     fn empty_forward_output() {
         let tdb = paper_tdb();
         let mut stats = MiningStats::default();
-        let mut ctx = CountingContext::new(&tdb, &SequencePhaseOptions::default());
+        let mut ctx = CountingContext::new(&SequencePhaseOptions::default());
         let kept = backward(&tdb, 2, &mut ctx, &mut stats, ForwardOutput::default());
         assert!(kept.is_empty());
     }

@@ -45,7 +45,7 @@ pub fn dynamic_some(
     stats: &mut MiningStats,
 ) -> Vec<LargeIdSequence> {
     assert!(step >= 1, "DynamicSome requires step >= 1");
-    let mut ctx = CountingContext::new(ds, options);
+    let mut ctx = CountingContext::new(options);
     let mut forward = ForwardOutput::default();
 
     // --- Initialization phase: exact L_1 ..= L_step. ---

@@ -335,7 +335,6 @@ mod tests {
     use crate::algorithms::apriori_all::tests::paper_tdb;
     use crate::algorithms::apriori_all::SequencePhaseOptions;
     use crate::counting::{CountingContext, CountingStrategy};
-    use crate::dataset::Dataset;
 
     fn arena(rows: &[Vec<u32>]) -> CandidateArena {
         CandidateArena::from_rows(
@@ -344,17 +343,16 @@ mod tests {
         )
     }
 
-    fn ctx_for(counting: CountingStrategy, ds: &dyn Dataset) -> CountingContext {
-        let options = SequencePhaseOptions {
+    fn ctx_for(counting: CountingStrategy) -> CountingContext {
+        CountingContext::new(&SequencePhaseOptions {
             counting,
             ..Default::default()
-        };
-        CountingContext::new(ds, &options)
+        })
     }
 
     fn pairs(lk: &CandidateArena, lj: &CandidateArena) -> Vec<(Vec<u32>, u64)> {
         let tdb = paper_tdb();
-        let mut ctx = ctx_for(CountingStrategy::default(), &tdb);
+        let mut ctx = ctx_for(CountingStrategy::default());
         ctx.large_pairs(&tdb, lk, lj, 1)
             .into_iter()
             .map(|s| (s.ids, s.support))
@@ -386,7 +384,7 @@ mod tests {
         let l1 = arena(&(0..5).map(|i| vec![i]).collect::<Vec<_>>());
         let l2 = arena(&[vec![0, 2], vec![0, 4]]);
         let run = |counting| {
-            let mut ctx = ctx_for(counting, &tdb);
+            let mut ctx = ctx_for(counting);
             let joined = (
                 ctx.large_pairs(&tdb, &l1, &l1, 1),
                 ctx.large_pairs(&tdb, &l2, &l1, 1),
@@ -396,7 +394,6 @@ mod tests {
         let base = run(CountingStrategy::HashTree);
         assert!(!base.0 .0.is_empty());
         for counting in [
-            CountingStrategy::Direct,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,
             CountingStrategy::Auto,
@@ -424,7 +421,7 @@ mod tests {
             table,
             total_customers: 1,
         };
-        let mut ctx = ctx_for(CountingStrategy::default(), &tdb);
+        let mut ctx = ctx_for(CountingStrategy::default());
         let found = ctx.large_pairs(&tdb, &arena(&[vec![4]]), &arena(&[vec![4], vec![5]]), 1);
         let found: Vec<_> = found.into_iter().map(|s| (s.ids, s.support)).collect();
         assert_eq!(found, vec![(vec![4, 4], 1), (vec![4, 5], 1)]);
@@ -443,7 +440,7 @@ mod tests {
     #[test]
     fn empty_sides_yield_nothing() {
         let tdb = paper_tdb();
-        let mut ctx = ctx_for(CountingStrategy::default(), &tdb);
+        let mut ctx = ctx_for(CountingStrategy::default());
         let l1 = arena(&[vec![0]]);
         let none = CandidateArena::default();
         assert!(ctx.large_pairs(&tdb, &none, &l1, 1).is_empty());

@@ -138,7 +138,6 @@ proptest! {
             Algorithm::DynamicSome { step: 2 },
         ] {
             for strategy in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,
@@ -216,7 +215,6 @@ proptest! {
         for algorithm in [Algorithm::AprioriAll, Algorithm::DynamicSome { step: 2 }] {
             let mut baseline: Option<Vec<String>> = None;
             for strategy in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,

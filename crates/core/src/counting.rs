@@ -1,13 +1,9 @@
 //! Support counting for candidate sequences over the transformed database.
 //!
-//! Four interchangeable strategies, plus `Auto`, which picks one of them
+//! Three interchangeable strategies, plus `Auto`, which picks one of them
 //! from database statistics (an ablation bench in `seqpat-bench` compares
 //! them):
 //!
-//! * [`CountingStrategy::Direct`] — for each customer, test every candidate
-//!   with the greedy containment scan, prefiltered by a litemset-presence
-//!   bitmap (a candidate using an id the customer never bought cannot
-//!   match).
 //! * [`CountingStrategy::HashTree`] — the paper's approach: put the
 //!   candidates in a [`SequenceHashTree`] and let each customer walk it,
 //!   touching only candidates whose prefix ids actually occur.
@@ -18,15 +14,15 @@
 //!   shift-AND S-step extension kernels ([`crate::bitmap`]): the temporal
 //!   join becomes word-parallel ALU work over a flat `u64` arena.
 //! * [`CountingStrategy::Auto`] — resolved to Bitmap, Vertical, or HashTree
-//!   when the run's [`CountingContext`] is built, from one statistics scan
-//!   (see [`auto_decide`]); the decision and its inputs are recorded in
+//!   from statistics gathered during the run's first walk over the rows
+//!   (see [`AutoDecision`]); the decision and its inputs are recorded in
 //!   [`MiningStats`].
 //!
 //! All strategies produce identical counts (pinned by tests here and by
-//! property tests at the workspace level). The horizontal strategies report
-//! the number of exact containment tests performed; the vertical strategy
-//! reports merge-joins; the bitmap strategy reports smeared words — all
-//! feed the harness's machine-independent cost counters.
+//! property tests at the workspace level). The hash tree reports the number
+//! of exact containment tests performed; the vertical strategy reports
+//! merge-joins; the bitmap strategy reports smeared words — all feed the
+//! harness's machine-independent cost counters.
 //!
 //! Pass 2 and DynamicSome's jumps bypass the strategy. Both count every
 //! concatenation of two known sets of sequences, so one join on endpoints
@@ -35,14 +31,22 @@
 //!
 //! ## One walk over the rows
 //!
-//! Every scan of the customer rows — `Auto`'s statistics, each count and
-//! each pair join — goes through one shard walk owned by the
-//! [`CountingContext`]. Unsharded, the walk has one range: a resident table
-//! is borrowed in place, and a non-resident one is decoded on first use and
-//! kept for the rest of the run, so the run decodes it once. Sharded, each
-//! range is loaded into scratch in turn, so only one shard's rows are alive
-//! at a time. The walk is also the one place that counts loads in
+//! Every scan of the customer rows — each count and each pair join — goes
+//! through one shard walk owned by the [`CountingContext`]. Unsharded, the
+//! walk has one range: a resident table is borrowed in place, and a
+//! non-resident one is decoded on first use and kept for the rest of the
+//! run, so the run decodes it once. Sharded, each range is loaded into
+//! scratch in turn, so only one shard's rows are alive at a time. The walk
+//! is also the one place that counts loads in
 //! `shards_processed`/`shard_bytes`.
+//!
+//! `Auto` costs no walk of its own. Its statistics are sums over rows, so
+//! the run's first walk — pass 2's pair join, or DynamicSome's first jump
+//! with step 1 — gathers them shard by shard, and the counter is chosen
+//! right after it, before any count needs one. Only a context whose first
+//! call is a count (the one-shot [`count_supports`]) gathers them in a
+//! statistics-only walk first. A run that never walks the rows (no large
+//! litemsets, or a length cap of 1) decides nothing.
 //!
 //! The index strategies follow the same split. Over one range the index is
 //! built on the first count and kept for the run; for the vertical
@@ -56,25 +60,24 @@
 //! ## Parallel counting
 //!
 //! Support is counted per customer, each customer at most once, so the
-//! horizontal strategies and the pair join shard each walk step's rows into
-//! contiguous chunks via [`seqpat_itemset::parallel::map_chunks`] (or
+//! hash tree and the pair join shard each walk step's rows into contiguous
+//! chunks via [`seqpat_itemset::parallel::map_chunks`] (or
 //! `map_chunks_with`, whose workers keep their buffers across batches):
-//! every worker owns private counts plus private scratch (the presence
-//! bitmap for `Direct`, a [`ProbeScratch`] for `HashTree` — the
-//! [`SequenceHashTree`] itself is built once per count and shared
-//! immutably — and key buffers for the join), and the per-chunk results and
-//! test counters are reduced in chunk order. The vertical strategy shards
-//! **candidates** (prefix runs) instead — see [`crate::vertical`]. Since
-//! the per-candidate counts are exact `u64` sums, parallel runs are
-//! **bit-identical** to serial runs — supports, large-sequence sets, and
-//! cost counters all match regardless of thread count or OS scheduling.
+//! every worker owns private counts plus private scratch (a
+//! [`ProbeScratch`] for `HashTree` — the [`SequenceHashTree`] itself is
+//! built once per count and shared immutably — and key buffers for the
+//! join), and the per-chunk results and test counters are reduced in chunk
+//! order. The vertical strategy shards **candidates** (prefix runs)
+//! instead — see [`crate::vertical`]. Since the per-candidate counts are
+//! exact `u64` sums, parallel runs are **bit-identical** to serial runs —
+//! supports, large-sequence sets, and cost counters all match regardless
+//! of thread count or OS scheduling.
 
 use crate::algorithms::apriori_all::SequencePhaseOptions;
 use crate::algorithms::otf::{PairJoin, PAIR_BATCH_ROWS, PAIR_DENSE_CAP_BYTES};
 use crate::arena::CandidateArena;
 use crate::bitmap::BitmapState;
 use crate::cast::{id32, idx, w64};
-use crate::contain::customer_contains;
 use crate::dataset::{shard_ranges, Dataset, ShardScratch};
 use crate::hash_tree::{ProbeScratch, SequenceHashTree};
 use crate::phases::maximal::LargeIdSequence;
@@ -88,8 +91,6 @@ use std::ops::Range;
 /// Strategy for counting candidate supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountingStrategy {
-    /// Per-candidate greedy scans with a presence-bitmap prefilter.
-    Direct,
     /// The paper's candidate hash tree.
     #[default]
     HashTree,
@@ -97,8 +98,8 @@ pub enum CountingStrategy {
     Vertical,
     /// SPAM-style packed bitmaps with S-step extension kernels.
     Bitmap,
-    /// Pick Bitmap/Vertical/HashTree from database statistics when the
-    /// run's counting context is built (see [`auto_decide`]).
+    /// Pick Bitmap/Vertical/HashTree from database statistics gathered
+    /// during the run's first walk over the rows (see [`AutoDecision`]).
     Auto,
 }
 
@@ -107,13 +108,12 @@ impl std::str::FromStr for CountingStrategy {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "direct" => Ok(CountingStrategy::Direct),
             "hashtree" | "hash-tree" | "hash_tree" => Ok(CountingStrategy::HashTree),
             "vertical" => Ok(CountingStrategy::Vertical),
             "bitmap" => Ok(CountingStrategy::Bitmap),
             "auto" => Ok(CountingStrategy::Auto),
             other => Err(format!(
-                "unknown counting strategy '{other}' (expected direct, hashtree, vertical, bitmap, or auto)"
+                "unknown counting strategy '{other}' (expected hashtree, vertical, bitmap, or auto)"
             )),
         }
     }
@@ -122,7 +122,6 @@ impl std::str::FromStr for CountingStrategy {
 impl std::fmt::Display for CountingStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            CountingStrategy::Direct => "direct",
             CountingStrategy::HashTree => "hashtree",
             CountingStrategy::Vertical => "vertical",
             CountingStrategy::Bitmap => "bitmap",
@@ -169,96 +168,88 @@ pub struct AutoDecision {
     pub reason: &'static str,
 }
 
-/// Picks a concrete strategy for `ds` from cheap statistics gathered in
-/// one scan. The decision rule (thresholds calibrated by experiment E11):
-///
-/// 1. Tiny databases (under [`AUTO_MIN_CUSTOMERS`] customers, or an empty
-///    alphabet) → [`CountingStrategy::HashTree`] — index builds cost more
-///    than the scans they replace.
-/// 2. A bitmap arena beyond [`AUTO_BITMAP_CAP_BYTES`] →
-///    [`CountingStrategy::Vertical`] — long-tail databases where packed
-///    words would be mostly zeros.
-/// 3. Density at or above [`AUTO_DENSITY_CROSSOVER`] →
-///    [`CountingStrategy::Bitmap`] — dense words amortize the S-step.
-/// 4. Otherwise → [`CountingStrategy::Vertical`] — sparse occurrence lists
-///    beat scanning mostly-empty words.
-///
-/// This one-shot form reads a non-resident `ds` as one range (decoded
-/// whole); a mining run decides through [`CountingContext::new`], whose
-/// scan follows the configured shard size.
-pub fn auto_decide(ds: &dyn Dataset) -> AutoDecision {
-    let options = SequencePhaseOptions::default();
-    let mut tally = MiningStats::default();
-    resolve_auto(ds, &options, &mut Shards::default(), &mut tally).1
+/// The row statistics `Auto` decides from, summed over a walk's shards.
+/// Every field is a sum over rows, so the totals do not depend on the
+/// shard size.
+#[derive(Debug, Default)]
+struct RowStats {
+    transactions: u64,
+    /// Litemset ids over all transactions.
+    occurrences: u64,
+    /// 64-transaction words: one bitmap row's length, summed.
+    words: u64,
 }
 
-/// [`auto_decide`] as a context runs it: returns the counter for the
-/// choice (configured from `options`) with the decision. A resident table
-/// is scanned in place; a non-resident one through `shards`' walk, which
-/// counts its loads in `tally`. Every statistic is additive, so the
-/// decision does not depend on the shard size.
-fn resolve_auto(
-    ds: &dyn Dataset,
-    options: &SequencePhaseOptions,
-    shards: &mut Shards,
-    tally: &mut MiningStats,
-) -> (Counter, AutoDecision) {
-    let customers = w64(ds.num_rows());
-    let litemsets = w64(ds.table().len());
-    let (mut transactions, mut occurrences, mut words) = (0u64, 0u64, 0u64);
-    let mut gather = |rows: &[TransformedCustomer]| {
+impl RowStats {
+    fn gather(&mut self, rows: &[TransformedCustomer]) {
         for customer in rows {
-            transactions += w64(customer.elements.len());
-            occurrences += customer.elements.iter().map(|e| w64(e.len())).sum::<u64>();
-            words += w64(customer.elements.len().div_ceil(64));
+            self.transactions += w64(customer.elements.len());
+            self.occurrences += customer.elements.iter().map(|e| w64(e.len())).sum::<u64>();
+            self.words += w64(customer.elements.len().div_ceil(64));
         }
-    };
-    match ds.resident() {
-        Some(rows) => gather(rows),
-        None => shards.for_each_shard(ds, tally, |rows, _, _| gather(rows)),
     }
-    let mean_len = if customers == 0 {
-        0.0
-    } else {
-        transactions as f64 / customers as f64
-    };
-    let density = if customers == 0 || litemsets == 0 {
-        0.0
-    } else {
-        occurrences as f64 / (customers as f64 * litemsets as f64)
-    };
-    let bitmap_bytes = litemsets * words * w64(std::mem::size_of::<u64>());
-    let (counter, reason) = if customers < AUTO_MIN_CUSTOMERS || litemsets == 0 {
-        (
-            Counter::HashTree(options.tree_params),
-            "tiny database: index build would cost more than the scans it saves",
-        )
-    } else if bitmap_bytes > AUTO_BITMAP_CAP_BYTES {
-        (
-            Counter::Vertical(options.vertical, None),
-            "bitmap arena over the size cap: long-tail database, id-lists stay compact",
-        )
-    } else if density >= AUTO_DENSITY_CROSSOVER {
-        (
-            Counter::Bitmap(None),
-            "dense database: word-parallel S-step kernels beat pointer-chasing joins",
-        )
-    } else {
-        (
-            Counter::Vertical(options.vertical, None),
-            "sparse database: id-list joins touch only actual occurrences",
-        )
-    };
-    let decision = AutoDecision {
-        choice: counter.strategy(),
-        customers,
-        litemsets,
-        mean_len,
-        density,
-        bitmap_bytes,
-        reason,
-    };
-    (counter, decision)
+
+    /// Picks a concrete strategy for `ds` from these statistics (gathered
+    /// over all of its rows) and returns its counter, configured from
+    /// `options`, with the decision. The rule (thresholds calibrated by
+    /// experiment E11):
+    ///
+    /// 1. Tiny databases (under [`AUTO_MIN_CUSTOMERS`] customers, or an
+    ///    empty alphabet) → [`CountingStrategy::HashTree`] — index builds
+    ///    cost more than the scans they replace.
+    /// 2. A bitmap arena beyond [`AUTO_BITMAP_CAP_BYTES`] →
+    ///    [`CountingStrategy::Vertical`] — long-tail databases where packed
+    ///    words would be mostly zeros.
+    /// 3. Density at or above [`AUTO_DENSITY_CROSSOVER`] →
+    ///    [`CountingStrategy::Bitmap`] — dense words amortize the S-step.
+    /// 4. Otherwise → [`CountingStrategy::Vertical`] — sparse occurrence
+    ///    lists beat scanning mostly-empty words.
+    fn decide(&self, ds: &dyn Dataset, options: &SequencePhaseOptions) -> (Counter, AutoDecision) {
+        let customers = w64(ds.num_rows());
+        let litemsets = w64(ds.table().len());
+        let mean_len = if customers == 0 {
+            0.0
+        } else {
+            self.transactions as f64 / customers as f64
+        };
+        let density = if customers == 0 || litemsets == 0 {
+            0.0
+        } else {
+            self.occurrences as f64 / (customers as f64 * litemsets as f64)
+        };
+        let bitmap_bytes = litemsets * self.words * w64(std::mem::size_of::<u64>());
+        let (counter, reason) = if customers < AUTO_MIN_CUSTOMERS || litemsets == 0 {
+            (
+                Counter::HashTree(options.tree_params),
+                "tiny database: index build would cost more than the scans it saves",
+            )
+        } else if bitmap_bytes > AUTO_BITMAP_CAP_BYTES {
+            (
+                Counter::Vertical(options.vertical, None),
+                "bitmap arena over the size cap: long-tail database, id-lists stay compact",
+            )
+        } else if density >= AUTO_DENSITY_CROSSOVER {
+            (
+                Counter::Bitmap(None),
+                "dense database: word-parallel S-step kernels beat pointer-chasing joins",
+            )
+        } else {
+            (
+                Counter::Vertical(options.vertical, None),
+                "sparse database: id-list joins touch only actual occurrences",
+            )
+        };
+        let decision = AutoDecision {
+            choice: counter.strategy(),
+            customers,
+            litemsets,
+            mean_len,
+            density,
+            bitmap_bytes,
+            reason,
+        };
+        (counter, decision)
+    }
 }
 
 /// Hash-tree shape parameters (shared with the litemset phase defaults).
@@ -279,13 +270,12 @@ impl Default for TreeParams {
     }
 }
 
-/// The concrete strategy a [`CountingContext`] counts with (`Auto` is
-/// resolved before one exists). The index strategies carry the run's
+/// The concrete strategy a [`CountingContext`] counts with (`Auto` decides
+/// one after the first walk). The index strategies carry the run's
 /// persistent index: built over the whole table on first use when the walk
 /// has one range, and kept for the run. A sharded walk never fills it.
 #[derive(Debug)]
 enum Counter {
-    Direct,
     HashTree(TreeParams),
     Vertical(VerticalParams, Option<VerticalState>),
     Bitmap(Option<BitmapState>),
@@ -303,7 +293,6 @@ struct Pass<'a> {
 impl Counter {
     fn strategy(&self) -> CountingStrategy {
         match self {
-            Counter::Direct => CountingStrategy::Direct,
             Counter::HashTree(_) => CountingStrategy::HashTree,
             Counter::Vertical(..) => CountingStrategy::Vertical,
             Counter::Bitmap(_) => CountingStrategy::Bitmap,
@@ -322,11 +311,6 @@ impl Counter {
     ) -> Vec<u64> {
         let (candidates, num_ids, threads) = (pass.candidates, pass.num_ids, pass.threads);
         match self {
-            Counter::Direct => {
-                let (supports, tests) = count_direct_slice(rows, num_ids, candidates, threads);
-                tally.containment_tests += tests;
-                supports
-            }
             Counter::HashTree(params) => {
                 let tree = match pass.tree.take() {
                     Some(tree) => tree,
@@ -431,7 +415,7 @@ fn load_counted<'a>(
     ds.load_shard(range, scratch)
 }
 
-/// Per-mining-run counting state: the resolved strategy with its
+/// Per-mining-run counting state: the concrete strategy with its
 /// persistent index, the shard walk with its decode-once cache, and the
 /// counters drained from every scan. Create one per run with
 /// [`CountingContext::new`], thread it through every pass, and
@@ -446,7 +430,10 @@ fn load_counted<'a>(
 /// sharded supports bit-identical to unsharded ones.
 #[derive(Debug)]
 pub struct CountingContext {
-    counter: Counter,
+    /// `None` while an `Auto` run has not walked the rows yet.
+    counter: Option<Counter>,
+    /// The run's options; `Auto`'s counter is configured from them.
+    options: SequencePhaseOptions,
     threads: usize,
     shards: Shards,
     /// Counters drained from every scan so far, plus `Auto`'s decision;
@@ -455,44 +442,52 @@ pub struct CountingContext {
 }
 
 impl CountingContext {
-    /// The context for one run over `ds` with `options`' strategy, tree
-    /// shape, threads, vertical knobs and shard size. `Auto` is resolved
-    /// here, by one statistics scan; no index is built until the first
-    /// count that needs it.
-    pub fn new(ds: &dyn Dataset, options: &SequencePhaseOptions) -> Self {
-        let mut shards = Shards {
-            shard_customers: options.shard_customers,
-            ..Shards::default()
-        };
-        let mut tally = MiningStats::default();
+    /// The context for one run with `options`' strategy, tree shape,
+    /// threads, vertical knobs and shard size. Nothing is read here: `Auto`
+    /// is decided by the first walk over the rows, and no index is built
+    /// until the first count that needs it.
+    pub fn new(options: &SequencePhaseOptions) -> Self {
         let counter = match options.counting {
-            CountingStrategy::Direct => Counter::Direct,
-            CountingStrategy::HashTree => Counter::HashTree(options.tree_params),
-            CountingStrategy::Vertical => Counter::Vertical(options.vertical, None),
-            CountingStrategy::Bitmap => Counter::Bitmap(None),
-            CountingStrategy::Auto => {
-                let (counter, decision) = resolve_auto(ds, options, &mut shards, &mut tally);
-                tally.auto_decision = Some(decision);
-                counter
-            }
+            CountingStrategy::HashTree => Some(Counter::HashTree(options.tree_params)),
+            CountingStrategy::Vertical => Some(Counter::Vertical(options.vertical, None)),
+            CountingStrategy::Bitmap => Some(Counter::Bitmap(None)),
+            CountingStrategy::Auto => None,
         };
         Self {
             counter,
+            options: *options,
             threads: options.parallelism.resolved_threads(),
-            shards,
-            tally,
+            shards: Shards {
+                shard_customers: options.shard_customers,
+                ..Shards::default()
+            },
+            tally: MiningStats::default(),
         }
     }
 
-    /// The concrete strategy this context counts with (`Auto` resolved).
-    pub fn strategy(&self) -> CountingStrategy {
-        self.counter.strategy()
+    /// Decides `Auto` from `stats`, gathered over every row of `ds`:
+    /// records the decision in the tally and returns its counter.
+    fn resolve_auto(&mut self, ds: &dyn Dataset, stats: &RowStats) -> Counter {
+        let (counter, decision) = stats.decide(ds, &self.options);
+        self.tally.auto_decision = Some(decision);
+        counter
     }
 
     /// Counts the support of every candidate in the arena (see
     /// [`count_supports`] for the contract), summing the walk's per-shard
     /// partials in shard order.
     pub fn count(&mut self, ds: &dyn Dataset, candidates: &CandidateArena) -> Vec<u64> {
+        let mut counter = match self.counter.take() {
+            Some(counter) => counter,
+            // No walk has decided `Auto` yet: gather its statistics in a
+            // walk of their own.
+            None => {
+                let mut stats = RowStats::default();
+                self.shards
+                    .for_each_shard(ds, &mut self.tally, |rows, _, _| stats.gather(rows));
+                self.resolve_auto(ds, &stats)
+            }
+        };
         let mut pass = Pass {
             candidates,
             num_ids: ds.table().len(),
@@ -500,18 +495,14 @@ impl CountingContext {
             tree: None,
         };
         let mut supports = vec![0u64; candidates.num_candidates()];
-        let Self {
-            counter,
-            shards,
-            tally,
-            ..
-        } = self;
-        shards.for_each_shard(ds, tally, |rows, whole, tally| {
-            let partial = counter.count_rows(rows, whole, &mut pass, tally);
-            for (total, part) in supports.iter_mut().zip(partial) {
-                *total += part;
-            }
-        });
+        self.shards
+            .for_each_shard(ds, &mut self.tally, |rows, whole, tally| {
+                let partial = counter.count_rows(rows, whole, &mut pass, tally);
+                for (total, part) in supports.iter_mut().zip(partial) {
+                    *total += part;
+                }
+            });
+        self.counter = Some(counter);
         supports
     }
 
@@ -547,7 +538,8 @@ impl CountingContext {
     /// rows go to the workers in [`PAIR_BATCH_ROWS`] batches, and each
     /// worker's keys are bumped into the counter in chunk order, then shard
     /// order — exact integer counts, so the totals match the unsharded
-    /// serial run bit for bit.
+    /// serial run bit for bit. An undecided `Auto` context gathers its
+    /// statistics on the same walk and decides right after it.
     fn large_pairs_capped(
         &mut self,
         ds: &dyn Dataset,
@@ -559,8 +551,12 @@ impl CountingContext {
         let join = PairJoin::new(lk, lj, ds.table().len());
         let mut counts = join.counts(cap_bytes);
         let mut workers = vec![join.worker(); self.threads.max(1)];
+        let mut auto_stats = self.counter.is_none().then(RowStats::default);
         self.shards
             .for_each_shard(ds, &mut self.tally, |rows, _, tally| {
+                if let Some(stats) = &mut auto_stats {
+                    stats.gather(rows);
+                }
                 for batch in rows.chunks(PAIR_BATCH_ROWS) {
                     map_chunks_with(batch, &mut workers, |chunk, w| w.gather(chunk, &join));
                     for w in &mut workers {
@@ -568,6 +564,9 @@ impl CountingContext {
                     }
                 }
             });
+        if let Some(stats) = auto_stats {
+            self.counter = Some(self.resolve_auto(ds, &stats));
+        }
         join.large(counts, min_count)
     }
 
@@ -616,77 +615,10 @@ pub fn count_supports(
         parallelism,
         ..SequencePhaseOptions::default()
     };
-    let mut ctx = CountingContext::new(ds, &options);
+    let mut ctx = CountingContext::new(&options);
     let supports = ctx.count(ds, candidates);
     *containment_tests += ctx.tally.containment_tests;
     supports
-}
-
-/// Direct counting over a row slice (one shard or the whole database).
-/// Returns `(supports, containment_tests)` — both exact sums, so callers
-/// can add the partials of consecutive shards in shard order and land on
-/// the unsharded totals bit for bit.
-fn count_direct_slice(
-    customers: &[TransformedCustomer],
-    num_litemsets: usize,
-    candidates: &CandidateArena,
-    threads: usize,
-) -> (Vec<u64>, u64) {
-    let n = candidates.num_candidates();
-    debug_assert!(
-        customers
-            .iter()
-            .flat_map(|c| &c.elements)
-            .flatten()
-            .all(|&id| idx(id) < num_litemsets),
-        "every transformed litemset id indexes the presence bitmap"
-    );
-    debug_assert!(
-        candidates
-            .iter()
-            .flatten()
-            .all(|&id| idx(id) < num_litemsets),
-        "every candidate id indexes the presence bitmap"
-    );
-    let partials = map_chunks(customers, threads, |chunk| {
-        let mut supports = vec![0u64; n];
-        let mut tests = 0u64;
-        let mut bitmap = vec![false; num_litemsets];
-        for customer in chunk {
-            if customer.elements.is_empty() {
-                continue;
-            }
-            bitmap.iter_mut().for_each(|b| *b = false);
-            for element in &customer.elements {
-                for &id in element {
-                    bitmap[idx(id)] = true;
-                }
-            }
-            for (slot, cand) in candidates.iter().enumerate() {
-                if cand.len() > customer.elements.len() {
-                    continue;
-                }
-                if !cand.iter().all(|&id| bitmap[idx(id)]) {
-                    continue;
-                }
-                tests += 1;
-                if customer_contains(customer, cand) {
-                    supports[slot] += 1;
-                }
-            }
-        }
-        (supports, tests)
-    });
-    // Chunk order, exact `u64` sums: the totals do not depend on the chunking.
-    let mut tests_total = 0u64;
-    let supports = sum_partials(
-        partials.into_iter().map(|(partial, tests)| {
-            tests_total += tests;
-            partial
-        }),
-        n,
-    );
-    (supports, tests_total)
 }
 
 /// Pass 2 (the candidate set is always **all** `|L1|²` ordered litemset
@@ -716,7 +648,7 @@ pub fn large_two_sequences(
         parallelism,
         ..SequencePhaseOptions::default()
     };
-    let mut ctx = CountingContext::new(ds, &options);
+    let mut ctx = CountingContext::new(&options);
     let out = ctx.large_two(ds, min_count);
     *containment_tests += ctx.tally.containment_tests;
     out
@@ -769,6 +701,7 @@ fn probe_hash_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contain::customer_contains;
     use crate::types::itemset::Itemset;
     use crate::types::transformed::{
         LitemsetId, LitemsetTable, TransformedCustomer, TransformedDatabase,
@@ -816,7 +749,6 @@ mod tests {
     #[test]
     fn strategy_names_round_trip() {
         for s in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,
@@ -827,6 +759,7 @@ mod tests {
         assert_eq!("hash-tree".parse(), Ok(CountingStrategy::HashTree));
         assert_eq!("hash_tree".parse(), Ok(CountingStrategy::HashTree));
         assert!("sideways".parse::<CountingStrategy>().is_err());
+        assert!("direct".parse::<CountingStrategy>().is_err());
     }
 
     #[test]
@@ -838,65 +771,42 @@ mod tests {
             vec![0, 4], // customers 1 and 4
             vec![4, 0], // nobody
         ]);
-        let mut t1 = 0;
-        let direct = count_supports(
-            &db,
-            &candidates,
-            CountingStrategy::Direct,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t1,
-        );
-        let mut t2 = 0;
-        let tree = count_supports(
-            &db,
-            &candidates,
+        for strategy in [
             CountingStrategy::HashTree,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t2,
-        );
-        let mut t3 = 0;
-        let vertical = count_supports(
-            &db,
-            &candidates,
             CountingStrategy::Vertical,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t3,
-        );
-        let mut t4 = 0;
-        let bitmap = count_supports(
-            &db,
-            &candidates,
             CountingStrategy::Bitmap,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t4,
-        );
-        let mut t5 = 0;
-        let auto = count_supports(
-            &db,
-            &candidates,
             CountingStrategy::Auto,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t5,
-        );
-        assert_eq!(direct, vec![2, 2, 2, 0]);
-        assert_eq!(tree, direct);
-        assert_eq!(vertical, direct);
-        assert_eq!(bitmap, direct);
-        assert_eq!(auto, direct);
-        assert!(t1 > 0);
-        assert!(t2 > 0);
-        assert_eq!(t3, 0); // vertical performs joins, not containment tests
-        assert_eq!(t4, 0); // bitmap performs word smears, not containment tests
+        ] {
+            let mut tests = 0;
+            let supports = count_supports(
+                &db,
+                &candidates,
+                strategy,
+                TreeParams::default(),
+                Parallelism::Serial,
+                &mut tests,
+            );
+            assert_eq!(supports, vec![2, 2, 2, 0], "{strategy}");
+            // Vertical performs joins and bitmap word smears, not
+            // containment tests; on six customers Auto picks the hash tree.
+            let horizontal = matches!(
+                strategy,
+                CountingStrategy::HashTree | CountingStrategy::Auto
+            );
+            assert_eq!(tests > 0, horizontal, "{strategy}");
+        }
+    }
+
+    /// `Auto`'s decision for `ds`, made as a run makes it: by pass 2's walk.
+    fn auto_decision(ds: &dyn Dataset) -> AutoDecision {
+        let mut ctx = CountingContext::new(&options(CountingStrategy::Auto, None));
+        let _ = ctx.large_two(ds, 1);
+        ctx.tally.auto_decision.expect("pass 2 decides Auto")
     }
 
     #[test]
     fn auto_picks_hashtree_for_tiny_databases() {
-        let decision = auto_decide(&tdb());
+        let decision = auto_decision(&tdb());
         assert_eq!(decision.choice, CountingStrategy::HashTree);
         assert_eq!(decision.customers, 6);
         assert_eq!(decision.litemsets, 5);
@@ -926,38 +836,65 @@ mod tests {
     #[test]
     fn auto_picks_bitmap_for_dense_and_vertical_for_sparse() {
         // 100 customers × 8 transactions over 4 ids: density 8/4 = 2.0.
-        let dense = auto_decide(&synth_tdb(100, 8, 4));
-        assert_eq!(dense.choice, CountingStrategy::Bitmap);
-        assert!(dense.density >= AUTO_DENSITY_CROSSOVER);
+        assert_eq!(auto_decision(&synth_tdb(100, 8, 4)), dense_decision());
         // 100 customers × 3 transactions over 1000 ids: density 0.003.
-        let sparse = auto_decide(&synth_tdb(100, 3, 1000));
-        assert_eq!(sparse.choice, CountingStrategy::Vertical);
-        assert!(sparse.density < AUTO_DENSITY_CROSSOVER);
+        assert_eq!(auto_decision(&synth_tdb(100, 3, 1000)), sparse_decision());
+    }
+
+    /// `Auto`'s decision on `synth_tdb(100, 8, 4)`.
+    fn dense_decision() -> AutoDecision {
+        AutoDecision {
+            choice: CountingStrategy::Bitmap,
+            customers: 100,
+            litemsets: 4,
+            mean_len: 8.0,
+            density: 2.0,
+            bitmap_bytes: 4 * 100 * 8,
+            reason: "dense database: word-parallel S-step kernels beat pointer-chasing joins",
+        }
+    }
+
+    /// `Auto`'s decision on `synth_tdb(100, 3, 1000)`.
+    fn sparse_decision() -> AutoDecision {
+        AutoDecision {
+            choice: CountingStrategy::Vertical,
+            customers: 100,
+            litemsets: 1000,
+            mean_len: 3.0,
+            density: 0.003,
+            bitmap_bytes: 1000 * 100 * 8,
+            reason: "sparse database: id-list joins touch only actual occurrences",
+        }
     }
 
     #[test]
     fn auto_resolution_is_recorded_and_sticks() {
         let db = synth_tdb(100, 8, 4);
-        let mut ctx = CountingContext::new(&db, &options(CountingStrategy::Auto, None));
-        assert_eq!(ctx.strategy(), CountingStrategy::Bitmap);
-        let _ = ctx.count(&db, &arena(&[vec![0, 1]]));
+        let mut ctx = CountingContext::new(&options(CountingStrategy::Auto, None));
+        assert!(
+            ctx.tally.auto_decision.is_none(),
+            "nothing is read before the first walk"
+        );
+        let _ = ctx.large_two(&db, 20);
+        assert_eq!(ctx.tally.auto_decision, Some(dense_decision()));
+        assert!(matches!(ctx.counter, Some(Counter::Bitmap(_))));
+        let _ = ctx.count(&db, &arena(&[vec![0, 1, 2]]));
         let mut stats = MiningStats::default();
         ctx.flush_into(&mut stats);
-        let decision = stats.auto_decision.expect("auto decision recorded");
-        assert_eq!(decision.choice, CountingStrategy::Bitmap);
+        assert_eq!(stats.auto_decision, Some(dense_decision()));
         assert!(stats.bitmap_words > 0);
     }
 
     #[test]
-    fn bitmap_prefilter_skips_impossible_candidates() {
+    fn leaf_presence_filter_skips_impossible_candidates() {
         let db = tdb();
-        // Candidate needs ids {2, 4}; only customer 4 has both, so exactly
-        // one exact containment test may run.
+        // Candidate needs ids {2, 4}; only customer 4 has both, so the hash
+        // tree's leaf runs exactly one exact containment test.
         let mut tests = 0;
         let supports = count_supports(
             &db,
             &arena(&[vec![2, 4]]),
-            CountingStrategy::Direct,
+            CountingStrategy::HashTree,
             TreeParams::default(),
             Parallelism::Serial,
             &mut tests,
@@ -970,7 +907,6 @@ mod tests {
     fn empty_candidate_list() {
         let db = tdb();
         for strategy in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,
@@ -993,7 +929,7 @@ mod tests {
     #[test]
     fn context_flush_moves_counters_into_stats_once() {
         let db = tdb();
-        let mut ctx = CountingContext::new(&db, &options(CountingStrategy::Vertical, None));
+        let mut ctx = CountingContext::new(&options(CountingStrategy::Vertical, None));
         let supports = ctx.count(&db, &arena(&[vec![0, 1], vec![0, 4]]));
         assert_eq!(supports, vec![2, 2]);
         let mut stats = MiningStats::default();
@@ -1011,22 +947,17 @@ mod tests {
         let mut t = 0;
         let (n_candidates, l2) = large_two_sequences(&db, 2, Parallelism::Serial, &mut t);
         assert_eq!(n_candidates, 25);
-        // Cross-check against generic counting of all ordered pairs.
-        let all_pairs: Vec<Vec<LitemsetId>> = (0..5)
+        // Cross-check against a brute-force recount of all ordered pairs.
+        let expected: Vec<(Vec<LitemsetId>, u64)> = (0..5)
             .flat_map(|a| (0..5).map(move |b| vec![a, b]))
-            .collect();
-        let mut t2 = 0;
-        let generic = count_supports(
-            &db,
-            &arena(&all_pairs),
-            CountingStrategy::Direct,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t2,
-        );
-        let expected: Vec<(Vec<LitemsetId>, u64)> = all_pairs
-            .into_iter()
-            .zip(generic)
+            .map(|pair| {
+                let support = db
+                    .customers
+                    .iter()
+                    .filter(|c| customer_contains(c, &pair))
+                    .count() as u64;
+                (pair, support)
+            })
             .filter(|&(_, c)| c >= 2)
             .collect();
         let got: Vec<(Vec<LitemsetId>, u64)> = l2.into_iter().map(|s| (s.ids, s.support)).collect();
@@ -1056,36 +987,54 @@ mod tests {
         assert_eq!(t, 1);
     }
 
+    /// `Auto` costs no walk of its own: with every algorithm that reaches a
+    /// count, sharded or not, an `Auto` run loads exactly what a run with
+    /// the strategy it chose loads, and finds the same patterns.
     #[test]
-    fn auto_scan_streams_configured_shards_and_counts_them() {
-        let db = synth_tdb(100, 8, 4);
-        let scan = |ds: &dyn Dataset, shard_customers| {
-            let ctx = CountingContext::new(ds, &options(CountingStrategy::Auto, shard_customers));
-            let tally = ctx.tally;
-            (
-                tally.auto_decision,
-                tally.shards_processed,
-                tally.shard_bytes,
-            )
-        };
-        // A resident dataset is read in place: no loads to count.
-        let (resident, shards, bytes) = scan(&db, Some(30));
-        assert_eq!(resident, Some(auto_decide(&db)));
-        assert_eq!((shards, bytes), (0, 0));
-        let (streamed, shards, bytes) = scan(&Streamed(&db), Some(30));
-        assert_eq!(streamed, resident);
-        assert_eq!(shards, 4);
-        assert_eq!(bytes, db.shard_bytes(0..100));
-        let (_, shards, _) = scan(&Streamed(&db), None);
-        assert_eq!(
-            shards, 1,
-            "without a shard size the scan decodes the whole table once"
-        );
+    fn auto_costs_no_walk_of_its_own() {
+        use crate::algorithms::Algorithm;
+        use crate::miner::{Miner, MinerConfig};
+        use crate::support::MinSupport;
+        for (db, min_count, decision) in [
+            (synth_tdb(100, 8, 4), 20, dense_decision()),
+            (synth_tdb(100, 3, 1000), 2, sparse_decision()),
+        ] {
+            let ds = Streamed(&db);
+            for algorithm in [
+                Algorithm::AprioriAll,
+                Algorithm::AprioriSome,
+                Algorithm::DynamicSome { step: 1 },
+                Algorithm::DynamicSome { step: 2 },
+            ] {
+                for shard_customers in [None, Some(30)] {
+                    let mine = |counting| {
+                        let mut config = MinerConfig::new(MinSupport::Count(min_count))
+                            .algorithm(algorithm)
+                            .counting(counting);
+                        config.shard_customers = shard_customers;
+                        Miner::new(config).mine_dataset(&ds)
+                    };
+                    let (auto, chosen) = (mine(CountingStrategy::Auto), mine(decision.choice));
+                    let label = format!("{algorithm} / shards of {shard_customers:?}");
+                    assert_eq!(
+                        auto.stats.auto_decision.as_ref(),
+                        Some(&decision),
+                        "{label}"
+                    );
+                    assert_eq!(auto.patterns, chosen.patterns, "{label}");
+                    assert_eq!(
+                        (auto.stats.shards_processed, auto.stats.shard_bytes),
+                        (chosen.stats.shards_processed, chosen.stats.shard_bytes),
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     /// An unsharded run over a non-resident store decodes the table once:
-    /// pass 2, Auto's scan, later passes and DynamicSome's on-the-fly pass
-    /// all read that one copy.
+    /// pass 2, later passes and DynamicSome's on-the-fly pass all read that
+    /// one copy.
     #[test]
     fn unsharded_non_resident_run_decodes_the_table_once() {
         use crate::algorithms::Algorithm;
@@ -1095,7 +1044,6 @@ mod tests {
         let ds = Streamed(&db);
         for algorithm in [Algorithm::AprioriAll, Algorithm::DynamicSome { step: 2 }] {
             for strategy in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,
@@ -1172,16 +1120,17 @@ mod tests {
             Parallelism::Serial,
             &mut t,
         );
-        let mut t2 = 0;
-        let b = count_supports(
-            &db,
-            &candidates,
-            CountingStrategy::Direct,
-            TreeParams::default(),
-            Parallelism::Serial,
-            &mut t2,
-        );
-        assert_eq!(a, b);
+        let recount: Vec<u64> = candidates
+            .iter()
+            .map(|cand| {
+                db.customers
+                    .iter()
+                    .filter(|c| customer_contains(c, cand))
+                    .count() as u64
+            })
+            .collect();
+        assert_eq!(a, recount);
+        assert_eq!(a, vec![2, 2, 2, 2, 1]);
     }
 
     #[test]
@@ -1189,7 +1138,6 @@ mod tests {
         let db = tdb();
         let candidates = arena(&[vec![0, 1], vec![0, 2], vec![0, 3], vec![0, 4], vec![4, 0]]);
         for strategy in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,
@@ -1232,10 +1180,12 @@ mod tests {
 /// Property tests pinning the tentpole guarantee: for any generated
 /// database and candidate set, every thread count produces supports and
 /// cost counters bit-identical to the serial run, for every counting
-/// strategy (including `Auto`) — and the strategies agree with each other.
+/// strategy (including `Auto`) — and every strategy matches a brute-force
+/// recount.
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::contain::customer_contains;
     use crate::types::itemset::Itemset;
     use crate::types::transformed::{
         LitemsetId, LitemsetTable, TransformedCustomer, TransformedDatabase,
@@ -1370,9 +1320,13 @@ mod proptests {
         ) {
             let db = build_tdb(raw_db);
             let candidates = build_candidates(raw_cands, cand_len);
-            let mut baseline: Option<Vec<u64>> = None;
+            let expected: Vec<u64> = candidates
+                .iter()
+                .map(|cand| {
+                    db.customers.iter().filter(|c| customer_contains(c, cand)).count() as u64
+                })
+                .collect();
             for strategy in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,
@@ -1387,12 +1341,8 @@ mod proptests {
                     Parallelism::Serial,
                     &mut serial_tests,
                 );
-                // All three strategies agree on every support count.
-                if let Some(base) = &baseline {
-                    prop_assert_eq!(&serial, base, "{} vs direct", strategy);
-                } else {
-                    baseline = Some(serial.clone());
-                }
+                // Every strategy matches the brute-force recount.
+                prop_assert_eq!(&serial, &expected, "{}", strategy);
                 for threads in [1usize, 2, 3, 7] {
                     let mut tests = 0u64;
                     let parallel = count_supports(
@@ -1470,14 +1420,14 @@ mod proptests {
                             shard_customers: shard,
                             ..SequencePhaseOptions::default()
                         };
-                        let mut ctx = CountingContext::new(&db, &options);
+                        let mut ctx = CountingContext::new(&options);
                         let large = ctx.large_pairs_capped(&db, &l1, &l1, min_count, cap);
                         prop_assert_eq!(
                             (l1.num_candidates().pow(2) as u64, large, ctx.tally.containment_tests),
                             expected.clone(),
                             "cap {} shard {:?} threads {}", cap, shard, threads
                         );
-                        let mut ctx = CountingContext::new(&db, &options);
+                        let mut ctx = CountingContext::new(&options);
                         let large = ctx.large_pairs_capped(&db, &lk, &lj, min_count, cap);
                         prop_assert_eq!(
                             &large, &expected_join,

@@ -17,7 +17,7 @@
 //! needed.
 //!
 //! At a leaf, a candidate using a litemset id the customer never bought is
-//! skipped (the presence check `Direct` counting also makes); the rest are
+//! skipped by a presence check, without a containment test; the rest are
 //! verified with the exact containment test against the full customer
 //! sequence (hash collisions make path information insufficient, exactly as
 //! in the itemset tree).

@@ -66,7 +66,7 @@ pub mod vertical;
 pub use algorithms::Algorithm;
 pub use arena::CandidateArena;
 pub use bitmap::{BitmapIndex, BitmapState};
-pub use counting::{auto_decide, AutoDecision, CountingContext, CountingStrategy};
+pub use counting::{AutoDecision, CountingContext, CountingStrategy};
 pub use dataset::{shard_ranges, Dataset, ShardScratch};
 pub use miner::{Miner, MinerConfig, MiningResult, Pattern};
 pub use phases::maximal::LargeIdSequence;

@@ -409,7 +409,6 @@ mod tests {
             Algorithm::DynamicSome { step: 2 },
         ] {
             for counting in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,

@@ -71,7 +71,6 @@ fn all_strategies_parallelism_and_shard_sizes_match_in_memory() {
     );
 
     for strategy in [
-        CountingStrategy::Direct,
         CountingStrategy::HashTree,
         CountingStrategy::Vertical,
         CountingStrategy::Bitmap,
@@ -129,7 +128,6 @@ fn every_algorithm_matches_across_backends_when_sharded() {
         Algorithm::DynamicSome { step: 2 },
     ] {
         for strategy in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,

@@ -56,7 +56,6 @@ proptest! {
 
         // Resident backend, sharded: every strategy must agree.
         for strategy in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,

@@ -74,8 +74,9 @@ cargo run --release -q -p seqpat-cli -- mine \
 # Guard against a vacuous pass: an empty pattern list would diff clean.
 [ -s "$smoke/mem.txt" ] || { echo "shard smoke: no patterns mined" >&2; exit 1; }
 diff "$smoke/mem.txt" "$smoke/mmap.txt"
-# Unsharded over the store: Auto's scan, pass 2 and the later passes must
-# all read one decoded copy of the table, so --stats reports one load.
+# Unsharded over the store: pass 2 (which also decides Auto) and the later
+# passes must all read one decoded copy of the table, so --stats reports
+# one load.
 cargo run --release -q -p seqpat-cli -- mine \
   --in "$smoke/tiny.colstore" --minsup 0.05 --max-length 4 \
   --backend mmap --strategy auto --stats \
@@ -86,14 +87,33 @@ grep -q "shards: 1 processed" "$smoke/mmap-whole.stats" || {
   cat "$smoke/mmap-whole.stats" >&2
   exit 1
 }
+# Sharded, Auto gathers its statistics on pass 2's walk and reads nothing
+# of its own: its loads must equal those of the strategy it chose.
+cargo run --release -q -p seqpat-cli -- mine \
+  --in "$smoke/tiny.colstore" --minsup 0.05 --max-length 4 \
+  --backend mmap --shard-customers 3 --strategy auto --stats \
+  > "$smoke/mmap-auto.txt" 2> "$smoke/mmap-auto.stats"
+diff "$smoke/mem.txt" "$smoke/mmap-auto.txt"
+chosen=$(sed -n 's/^auto: chose \([a-z]*\) .*/\1/p' "$smoke/mmap-auto.stats")
+cargo run --release -q -p seqpat-cli -- mine \
+  --in "$smoke/tiny.colstore" --minsup 0.05 --max-length 4 \
+  --backend mmap --shard-customers 3 --strategy "${chosen:-none}" --stats \
+  > /dev/null 2> "$smoke/mmap-chosen.stats"
+auto_loads=$(grep '^shards:' "$smoke/mmap-auto.stats" || true)
+chosen_loads=$(grep '^shards:' "$smoke/mmap-chosen.stats" || true)
+[ -n "$auto_loads" ] && [ "$auto_loads" = "$chosen_loads" ] || {
+  echo "shard smoke: auto (chose '$chosen') loaded '$auto_loads', the chosen strategy '$chosen_loads'" >&2
+  exit 1
+}
 echo "shard smoke: mem and mmap outputs identical ($(wc -l < "$smoke/mem.txt") patterns)"
 
-echo "==> hash-tree smoke (hashtree vs direct counting, multi-level tree, DynamicSome)"
+echo "==> hash-tree smoke (hashtree vs vertical counting, multi-level tree, DynamicSome)"
 # The sequence hash tree splits a leaf past 32 candidates (its default
 # capacity). At this size and minsup pass 3 counts a few hundred
 # candidates, so the probe walks interior nodes; its patterns must be
-# byte-identical to Direct's presence-filtered scan. DynamicSome's jumps
-# (the pair join) and backward prune must give AprioriAll's patterns too.
+# byte-identical to the vertical strategy's, which counts by id-list joins
+# and shares no code with the tree. DynamicSome's jumps (the pair join) and
+# backward prune must give AprioriAll's patterns too.
 hsmoke=target/ci-results/hashtree-smoke
 mkdir -p "$hsmoke"
 cargo run --release -q -p seqpat-cli -- gen \
@@ -102,10 +122,10 @@ cargo run --release -q -p seqpat-cli -- mine \
   --in "$hsmoke/data.spmf" --minsup 0.005 --strategy hashtree --stats \
   > "$hsmoke/hashtree.txt" 2> "$hsmoke/hashtree.stats"
 cargo run --release -q -p seqpat-cli -- mine \
-  --in "$hsmoke/data.spmf" --minsup 0.005 --strategy direct \
-  > "$hsmoke/direct.txt" 2> /dev/null
+  --in "$hsmoke/data.spmf" --minsup 0.005 --strategy vertical \
+  > "$hsmoke/vertical.txt" 2> /dev/null
 [ -s "$hsmoke/hashtree.txt" ] || { echo "hash-tree smoke: no patterns mined" >&2; exit 1; }
-diff "$hsmoke/hashtree.txt" "$hsmoke/direct.txt"
+diff "$hsmoke/hashtree.txt" "$hsmoke/vertical.txt"
 for step in 2 3; do
   cargo run --release -q -p seqpat-cli -- mine \
     --in "$hsmoke/data.spmf" --minsup 0.005 --algorithm dynamic-some --step "$step" \
@@ -120,7 +140,7 @@ awk '/pass k=/ { k = substr($2, 3, length($2) - 3) + 0; if (k >= 3 && $6 > 32) b
   cat "$hsmoke/hashtree.stats" >&2
   exit 1
 }
-echo "hash-tree smoke: hashtree, direct and dynamic-some outputs identical ($(wc -l < "$hsmoke/hashtree.txt") patterns)"
+echo "hash-tree smoke: hashtree, vertical and dynamic-some outputs identical ($(wc -l < "$hsmoke/hashtree.txt") patterns)"
 
 echo "==> serve smoke (gen → mine → index → query, trie vs oracle diff)"
 # End-to-end serving check through the CLI: mine an index, sample a query
@@ -158,7 +178,7 @@ echo "==> equivalence suites with debug assertions in release"
 CARGO_TARGET_DIR=target/ci-debug-assert RUSTFLAGS="-C debug-assertions" \
   cargo test --release -q -p seqpat-core -p seqpat-itemset
 
-echo "==> bench smoke (one tiny ablation cell for all four strategies + auto)"
+echo "==> bench smoke (one tiny ablation cell for all three strategies + auto)"
 cargo run --release -p seqpat-bench --bin exp_ablation -- \
   --quick --customers 150 --out target/ci-results
 

@@ -121,42 +121,33 @@ proptest! {
 
     #[test]
     fn counting_strategies_agree(db in arb_database(), min_count in 1u64..=3) {
-        let direct = Miner::new(
-            MinerConfig::new(MinSupport::Count(min_count)).counting(CountingStrategy::Direct),
-        )
-        .mine(&db);
-        let tree = Miner::new(
-            MinerConfig::new(MinSupport::Count(min_count)).counting(CountingStrategy::HashTree),
-        )
-        .mine(&db);
-        prop_assert_eq!(
-            render_maximal(&direct.patterns),
-            render_maximal(&tree.patterns)
-        );
-        let vertical = Miner::new(
-            MinerConfig::new(MinSupport::Count(min_count)).counting(CountingStrategy::Vertical),
-        )
-        .mine(&db);
-        prop_assert_eq!(
-            render_maximal(&direct.patterns),
-            render_maximal(&vertical.patterns)
-        );
-        let bitmap = Miner::new(
-            MinerConfig::new(MinSupport::Count(min_count)).counting(CountingStrategy::Bitmap),
-        )
-        .mine(&db);
-        prop_assert_eq!(
-            render_maximal(&direct.patterns),
-            render_maximal(&bitmap.patterns)
-        );
-        let auto = Miner::new(
-            MinerConfig::new(MinSupport::Count(min_count)).counting(CountingStrategy::Auto),
-        )
-        .mine(&db);
-        prop_assert_eq!(
-            render_maximal(&direct.patterns),
-            render_maximal(&auto.patterns)
-        );
+        // Every large sequence, not only the maximal ones, against the
+        // brute-force oracle (customers hold at most 4 transactions, so the
+        // length cap of 6 loses nothing).
+        let mut oracle: Vec<String> = naive_all_large(&db, MinSupport::Count(min_count), limits())
+            .into_iter()
+            .map(|(s, sup)| format!("{s}:{sup}"))
+            .collect();
+        oracle.sort();
+        for strategy in [
+            CountingStrategy::HashTree,
+            CountingStrategy::Vertical,
+            CountingStrategy::Bitmap,
+            CountingStrategy::Auto,
+        ] {
+            let result = Miner::new(
+                MinerConfig::new(MinSupport::Count(min_count))
+                    .include_non_maximal(true)
+                    .counting(strategy),
+            )
+            .mine(&db);
+            prop_assert_eq!(
+                render_maximal(&result.patterns),
+                oracle.clone(),
+                "{} disagrees with the oracle",
+                strategy
+            );
+        }
     }
 
     #[test]

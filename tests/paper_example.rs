@@ -40,7 +40,6 @@ fn every_algorithm_and_strategy_reproduces_the_paper_answer() {
         Algorithm::DynamicSome { step: 3 },
     ] {
         for strategy in [
-            CountingStrategy::Direct,
             CountingStrategy::HashTree,
             CountingStrategy::Vertical,
             CountingStrategy::Bitmap,

@@ -48,7 +48,6 @@ proptest! {
             Algorithm::DynamicSome { step: 2 },
         ] {
             for counting in [
-                CountingStrategy::Direct,
                 CountingStrategy::HashTree,
                 CountingStrategy::Vertical,
                 CountingStrategy::Bitmap,

@@ -40,8 +40,7 @@ const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::DynamicSome { step: 2 },
 ];
 
-const STRATEGIES: [CountingStrategy; 5] = [
-    CountingStrategy::Direct,
+const STRATEGIES: [CountingStrategy; 4] = [
     CountingStrategy::HashTree,
     CountingStrategy::Vertical,
     CountingStrategy::Bitmap,
