@@ -83,7 +83,8 @@ algorithms: apriori-all (default), apriori-some, dynamic-some, prefixspan,
             gsp (supports --min-gap G --max-gap G --element-window W)
 mine --index-out FILE writes a SEQPATS1 prefix-trie index for query/serve";
 
-/// Tiny flag parser: `--key value` pairs plus boolean switches.
+/// Tiny flag parser: `--key value` pairs plus boolean switches, each
+/// subcommand naming the flags it reads.
 struct Flags(Vec<(String, Option<String>)>);
 
 impl Flags {
@@ -94,7 +95,10 @@ impl Flags {
         args.iter().any(|a| a == "--help" || a == "-h")
     }
 
-    fn parse(args: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Parses `--key value` pairs for the names in `values` and bare
+    /// `switches`. Any other `--flag` is an error that lists the accepted
+    /// ones, so a misspelled or inapplicable flag never passes silently.
+    fn parse(args: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Vec::new();
         let mut iter = args.iter();
         while let Some(flag) = iter.next() {
@@ -103,14 +107,33 @@ impl Flags {
             };
             if switches.contains(&name) {
                 out.push((name.to_string(), None));
-            } else {
+            } else if values.contains(&name) {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
                 out.push((name.to_string(), Some(value.clone())));
+            } else {
+                let accepted: Vec<String> = values
+                    .iter()
+                    .chain(switches)
+                    .map(|f| format!("--{f}"))
+                    .collect();
+                return Err(format!(
+                    "unknown flag --{name} (accepted here: {})",
+                    accepted.join(" ")
+                ));
             }
         }
         Ok(Self(out))
+    }
+
+    /// Fails when any of `names` was given: the flags `why` says are
+    /// ignored in this run.
+    fn reject(&self, names: &[&str], why: &str) -> Result<(), String> {
+        match names.iter().find(|n| self.has(n)) {
+            Some(n) => Err(format!("--{n} {why}")),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -182,7 +205,11 @@ fn store(db: &Database, path: &str, format: &str) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        &["out", "dataset", "customers", "seed", "format", "minsup"],
+        &[],
+    )?;
     let out = flags.require("out")?;
     let dataset = flags.get("dataset").unwrap_or("C10-T2.5-S4-I1.25");
     let customers = flags.get_parsed::<usize>("customers")?.unwrap_or(1_000);
@@ -233,7 +260,28 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["all", "stats"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "in",
+            "minsup",
+            "format",
+            "algorithm",
+            "step",
+            "max-length",
+            "window",
+            "threads",
+            "strategy",
+            "vertical-cache-mb",
+            "backend",
+            "shard-customers",
+            "index-out",
+            "min-gap",
+            "max-gap",
+            "element-window",
+        ],
+        &["all", "stats"],
+    )?;
     let input = flags.require("in")?;
     let minsup: f64 = flags.get_parsed("minsup")?.ok_or("--minsup is required")?;
     if !(0.0..=1.0).contains(&minsup) || minsup == 0.0 {
@@ -259,6 +307,34 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         return Err("--step must be positive".into());
     }
     let algorithm_name = flags.get("algorithm").unwrap_or("apriori-all");
+    // Flags the chosen algorithm would ignore are usage errors.
+    let is_gsp = algorithm_name == "gsp";
+    if algorithm_name != "dynamic-some" {
+        flags.reject(&["step"], "applies to dynamic-some only")?;
+    }
+    if is_gsp {
+        flags.reject(
+            &["max-length"],
+            "is not supported by gsp, which has no length cap",
+        )?;
+    } else {
+        flags.reject(
+            &["min-gap", "max-gap", "element-window"],
+            "applies to gsp only",
+        )?;
+    }
+    if is_gsp || algorithm_name == "prefixspan" {
+        flags.reject(
+            &[
+                "strategy",
+                "vertical-cache-mb",
+                "shard-customers",
+                "threads",
+                "stats",
+            ],
+            &format!("applies to the paper algorithms only; {algorithm_name} counts on its own"),
+        )?;
+    }
     let include_all = flags.has("all");
     let max_length = flags.get_parsed::<usize>("max-length")?;
     if max_length == Some(0) {
@@ -316,10 +392,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    if algorithm_name == "gsp" {
-        if max_length.is_some() {
-            return Err("--max-length is not supported by gsp, which has no length cap".into());
-        }
+    if is_gsp {
         let db = load_mem_db()?;
         let mut config = GspConfig::default();
         if let Some(g) = flags.get_parsed::<i64>("min-gap")? {
@@ -495,7 +568,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["in", "format"], &[])?;
     let input = flags.require("in")?;
     let format = detect_format(&flags, input)?;
     let db = load(input, format)?;
@@ -504,7 +577,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["in", "out", "minsup"], &[])?;
     let input = flags.require("in")?;
     let output = flags.require("out")?;
     let in_format = if input.ends_with(".csv") {
@@ -554,8 +627,10 @@ mod tests {
     use super::*;
 
     fn flags(args: &[&str], switches: &[&str]) -> Flags {
+        let names: Vec<&str> = args.iter().filter_map(|a| a.strip_prefix("--")).collect();
         Flags::parse(
             &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            &names,
             switches,
         )
         .expect("parse")
@@ -575,9 +650,9 @@ mod tests {
     #[test]
     fn flags_reject_bare_words_and_missing_values() {
         let args = vec!["oops".to_string()];
-        assert!(Flags::parse(&args, &[]).is_err());
+        assert!(Flags::parse(&args, &["in"], &[]).is_err());
         let args = vec!["--in".to_string()];
-        assert!(Flags::parse(&args, &[]).is_err());
+        assert!(Flags::parse(&args, &["in"], &[]).is_err());
     }
 
     #[test]
@@ -638,6 +713,98 @@ mod tests {
             ]))
             .expect_err("gsp has no length cap");
             assert!(err.contains("--max-length"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_listing_the_accepted_ones() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = cmd_mine(&args(&[
+            "--in",
+            "never-read.spmf",
+            "--minsup",
+            "0.2",
+            "--strategi",
+            "vertical",
+        ]))
+        .expect_err("a misspelled flag must not be ignored");
+        assert!(err.contains("--strategi"), "{err}");
+        assert!(
+            err.contains("--strategy") && err.contains("--stats"),
+            "{err}"
+        );
+        // Every subcommand parses against its own flag list.
+        let err = cmd_stats(&args(&["--in", "never-read.spmf", "--minsup", "0.2"]))
+            .expect_err("stats reads no --minsup");
+        assert!(err.contains("--minsup"), "{err}");
+        let err = serve::cmd_serve(&args(&["--index", "i", "--queries", "q", "--oracle"]))
+            .expect_err("serve has no --oracle switch");
+        assert!(err.contains("--oracle"), "{err}");
+    }
+
+    #[test]
+    fn step_outside_dynamic_some_is_a_usage_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for algorithm in ["apriori-all", "apriori-some", "prefixspan", "gsp"] {
+            let err = cmd_mine(&args(&[
+                "--in",
+                "never-read.spmf",
+                "--minsup",
+                "0.2",
+                "--algorithm",
+                algorithm,
+                "--step",
+                "3",
+            ]))
+            .expect_err("only dynamic-some steps");
+            assert!(err.contains("--step"), "{algorithm}: {err}");
+        }
+    }
+
+    #[test]
+    fn gap_and_window_flags_outside_gsp_are_usage_errors() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for algorithm in ["apriori-all", "dynamic-some", "prefixspan"] {
+            for flag in ["--min-gap", "--max-gap", "--element-window"] {
+                let err = cmd_mine(&args(&[
+                    "--in",
+                    "never-read.spmf",
+                    "--minsup",
+                    "0.2",
+                    "--algorithm",
+                    algorithm,
+                    flag,
+                    "5",
+                ]))
+                .expect_err("only gsp has gap constraints");
+                assert!(err.contains(flag), "{algorithm}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn gsp_and_prefixspan_reject_paper_counting_flags() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for algorithm in ["gsp", "prefixspan"] {
+            for extra in [
+                &["--strategy", "bitmap"][..],
+                &["--vertical-cache-mb", "1"],
+                &["--shard-customers", "5"],
+                &["--threads", "3"],
+                &["--stats"],
+            ] {
+                let base = [
+                    "--in",
+                    "never-read.spmf",
+                    "--minsup",
+                    "0.2",
+                    "--algorithm",
+                    algorithm,
+                ];
+                let err = cmd_mine(&args(&[&base[..], extra].concat()))
+                    .expect_err("the flag would be ignored");
+                assert!(err.contains(extra[0]), "{algorithm}: {err}");
+            }
         }
     }
 

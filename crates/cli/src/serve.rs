@@ -113,7 +113,11 @@ fn render_predictions(trie: &PatternTrie, preds: &[Prediction]) -> String {
 /// `seqmine queries` — sample a reproducible prefix-query workload from
 /// the patterns stored in an index.
 pub(crate) fn cmd_queries(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        &["index", "out", "count", "skew", "miss-rate", "seed"],
+        &[],
+    )?;
     let index = flags.require("index")?;
     let out = flags.require("out")?;
     let defaults = QueryWorkloadParams::default();
@@ -150,7 +154,11 @@ pub(crate) fn cmd_queries(args: &[String]) -> Result<(), String> {
 /// linear scan of the stored patterns instead of the trie; the output
 /// format is identical, so the two modes can be diffed.
 pub(crate) fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["oracle", "stats"])?;
+    let flags = Flags::parse(
+        args,
+        &["index", "k", "prefix", "queries"],
+        &["oracle", "stats"],
+    )?;
     let index = flags.require("index")?;
     let k = flags.get_parsed::<usize>("k")?.unwrap_or(5);
     let trie = load_index(index)?;
@@ -205,7 +213,7 @@ pub(crate) fn cmd_query(args: &[String]) -> Result<(), String> {
 /// `seqmine serve` — replay a query file through the concurrent workload
 /// runner and report throughput and latency order statistics.
 pub(crate) fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["index", "queries", "threads", "repeat", "k"], &[])?;
     let index = flags.require("index")?;
     let queries_path = flags.require("queries")?;
     let opts = WorkloadOptions {

@@ -28,7 +28,6 @@
 
 use std::fmt::Display;
 use std::sync::{Mutex, OnceLock};
-// seqpat-lint: allow(no-wall-clock-outside-stats) this shim IS the timing harness; measuring wall clock is its entire purpose
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -187,7 +186,6 @@ impl Bencher {
         // One warm-up pass, then timed samples of a single call each.
         black_box(routine());
         for _ in 0..self.sample_size {
-            // seqpat-lint: allow(no-wall-clock-outside-stats) the bench loop's sample timer is the harness's reason to exist
             let start = Instant::now();
             black_box(routine());
             self.samples.push(start.elapsed());

@@ -166,23 +166,17 @@ impl ColstoreWriter {
     /// files `<path>.colN.tmp` in the same directory.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, IoError> {
         let final_path = path.as_ref().to_path_buf();
-        let spill = |n: u32| -> PathBuf {
-            // seqpat-lint: allow(no-alloc-in-hot-loop) runs four times per file creation, not per row
-            let mut os = final_path.clone().into_os_string();
-            // seqpat-lint: allow(no-alloc-in-hot-loop) runs four times per file creation, not per row
-            os.push(format!(".col{n}.tmp"));
-            PathBuf::from(os)
-        };
-        let spill_paths = [spill(0), spill(1), spill(2), spill(3)];
+        let spill_paths = [
+            spill_path(&final_path, 0),
+            spill_path(&final_path, 1),
+            spill_path(&final_path, 2),
+            spill_path(&final_path, 3),
+        ];
         debug_assert_eq!(spill_paths.len(), 4);
-        let open = |p: &Path| -> Result<io::BufWriter<File>, IoError> {
-            // seqpat-lint: allow(no-alloc-in-hot-loop) four buffered writers per file creation, not per row
-            Ok(io::BufWriter::new(File::create(p)?))
-        };
-        let customer_ids = open(&spill_paths[0])?;
-        let mut row_offsets = open(&spill_paths[1])?;
-        let mut elem_offsets = open(&spill_paths[2])?;
-        let ids = open(&spill_paths[3])?;
+        let customer_ids = create_spill(&spill_paths[0])?;
+        let mut row_offsets = create_spill(&spill_paths[1])?;
+        let mut elem_offsets = create_spill(&spill_paths[2])?;
+        let ids = create_spill(&spill_paths[3])?;
         // Both offset columns lead with their initial zero.
         row_offsets.write_all(&0u64.to_le_bytes())?;
         elem_offsets.write_all(&0u64.to_le_bytes())?;
@@ -303,6 +297,18 @@ impl ColstoreWriter {
     }
 }
 
+/// Path of spill file `n` beside the destination: `<final_path>.colN.tmp`.
+fn spill_path(final_path: &Path, n: u32) -> PathBuf {
+    let mut os = final_path.as_os_str().to_os_string();
+    os.push(format!(".col{n}.tmp"));
+    PathBuf::from(os)
+}
+
+/// Creates (or truncates) one spill file behind a buffered writer.
+fn create_spill(p: &Path) -> Result<io::BufWriter<File>, IoError> {
+    Ok(io::BufWriter::new(File::create(p)?))
+}
+
 /// Converts a resident [`TransformedDatabase`] into a colstore file.
 pub fn write_transformed(tdb: &TransformedDatabase, path: impl AsRef<Path>) -> Result<(), IoError> {
     let mut writer = ColstoreWriter::create(path)?;
@@ -315,6 +321,17 @@ pub fn write_transformed(tdb: &TransformedDatabase, path: impl AsRef<Path>) -> R
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
+
+/// Checks one offset-column boundary value at `off` against `expect`.
+fn check_bound(file: &ReadAt, off: u64, expect: u64, what: &str) -> Result<(), IoError> {
+    let mut b = [0u8; 8];
+    file.read_exact_at(&mut b, off)?;
+    let got = u64::from_le_bytes(b);
+    if got != expect {
+        return Err(corrupt(format!("{what} is {got}, expected {expect}")));
+    }
+    Ok(())
+}
 
 /// An opened colstore file, serving shards of [`TransformedCustomer`] rows
 /// through the [`Dataset`] trait. Only the header and the litemset table
@@ -418,17 +435,6 @@ impl ColstoreDataset {
 
         // Offset-column boundary invariants (interior monotonicity is
         // checked shard by shard, while decoding already touches the data).
-        let check_bound =
-            |file: &ReadAt, off: u64, expect: u64, what: &str| -> Result<(), IoError> {
-                let mut b = [0u8; 8];
-                file.read_exact_at(&mut b, off)?;
-                let got = u64::from_le_bytes(b);
-                if got != expect {
-                    // seqpat-lint: allow(no-alloc-in-hot-loop) error path of a once-per-open validation
-                    return Err(corrupt(format!("{what} is {got}, expected {expect}")));
-                }
-                Ok(())
-            };
         check_bound(&file, sections.row_offsets, 0, "row_offsets[0]")?;
         check_bound(
             &file,
@@ -498,7 +504,7 @@ impl ColstoreDataset {
     /// `load_shard` returns rows, not a `Result`, and fabricating or
     /// dropping rows would silently corrupt every downstream support.
     fn fail(&self, what: &str, detail: impl std::fmt::Display) -> ! {
-        // seqpat-lint: allow(no-panic-in-kernels) open() validated the whole structure; reaching here means the store changed or the device failed mid-run, and returning wrong rows would silently corrupt supports — failing loudly is the only sound option
+        // seqpat-lint: allow(transitive-panic-reachability) open() validated the whole structure; reaching here means the store changed or the device failed mid-run, and returning wrong rows would silently corrupt supports — failing loudly is the only sound option
         panic!(
             "colstore {}: {what} failed after a validated open: {detail}",
             self.path.display()

@@ -1,9 +1,10 @@
 //! Phase timing for the mining pipelines.
 //!
-//! All wall-clock reads in the mining code go through [`Stopwatch`] so that
-//! seqpat-lint's no-wall-clock-outside-stats rule can confine
-//! `Instant`/`SystemTime` to the stats layer: timing lives here (and in the
-//! bench/CLI crates), never inside algorithms or kernels.
+//! All wall-clock reads in the mining code go through [`Stopwatch`]: this
+//! file is the wall-clock effect's sanctioned zone in seqpat-lint, and
+//! `no-wall-clock-in-kernels` reports any kernel that reaches a clock read,
+//! through this layer or not. Timing lives here (and in the bench/CLI
+//! crates), never inside kernels.
 
 use std::time::{Duration, Instant};
 

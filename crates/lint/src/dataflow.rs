@@ -1,6 +1,6 @@
 //! Intraprocedural order-sensitivity dataflow.
 //!
-//! Two analyses over one file's token stream, both per-fn:
+//! Two analyses over one parsed file's fns, both intraprocedural:
 //!
 //! * **Iteration flow** (`nondeterministic-iteration-flow`): def-use taint
 //!   tracking from hash-container iteration sources (`iter`/`keys`/`values`/
@@ -26,7 +26,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::TokenKind;
+use crate::parser::{FnDef, ParsedFile};
 use crate::rules::{self, Violation};
 
 /// Methods that expose a hash container's (nondeterministic) iteration
@@ -105,186 +106,42 @@ struct Binding {
 /// Ordered witness steps for one taint chain: `(line, rendered step)`.
 type Chain = Vec<(u32, String)>;
 
-/// One fn item's spans: name, signature, body (all code indices).
-struct FnItem {
-    name: String,
-    line: u32,
-    /// Signature tokens after the name, up to the body `{` (exclusive).
-    sig: (usize, usize),
-    /// Body interior, half-open.
-    body: (usize, usize),
-}
-
-struct Flow<'a> {
-    path: &'a str,
-    src: &'a str,
-    tokens: Vec<Token>,
-    code: Vec<usize>,
-    test_regions: Vec<(usize, usize)>,
+/// The non-test fns of `file` that have a body, with the body span.
+fn live_fns(file: &ParsedFile) -> impl Iterator<Item = (&FnDef, (usize, usize))> {
+    file.fns
+        .iter()
+        .filter(|f| !f.is_test)
+        .filter_map(|f| Some((f, f.body?)))
 }
 
 /// Runs the iteration-flow analysis over one file, returning
-/// `nondeterministic-iteration-flow` findings. Test paths yield nothing.
-pub fn flow_violations(rel_path: &str, src: &str) -> Vec<Violation> {
-    if rules::is_test_path(rel_path) {
-        return Vec::new();
-    }
-    let flow = Flow::new(rel_path, src);
-    let hash_fns = flow.hash_returning_fns();
+/// `nondeterministic-iteration-flow` findings.
+pub fn flow_violations(file: &ParsedFile) -> Vec<Violation> {
+    let hash_fns = file.hash_returning_fns();
     let mut out = Vec::new();
-    for item in flow.fn_items() {
-        flow.analyze_fn(&item, &hash_fns, &mut out);
+    for (item, body) in live_fns(file) {
+        file.analyze_fn(item, body, &hash_fns, &mut out);
     }
-    out.sort();
-    out.dedup();
     out
 }
 
 /// Runs the reduction audit over one file: `order-sensitive-reduction`
 /// findings plus the per-reducer audit entries for determinism.json.
-pub fn reduction_audit(rel_path: &str, src: &str) -> (Vec<Violation>, Vec<ReducerAudit>) {
-    if rules::is_test_path(rel_path) {
-        return (Vec::new(), Vec::new());
-    }
-    let flow = Flow::new(rel_path, src);
+pub fn reduction_audit(file: &ParsedFile) -> (Vec<Violation>, Vec<ReducerAudit>) {
     let mut violations = Vec::new();
     let mut audits = Vec::new();
-    for item in flow.fn_items() {
-        if !is_reducer_name(&item.name) {
-            continue;
-        }
-        flow.audit_reducer(&item, &mut violations, &mut audits);
+    for (item, body) in live_fns(file).filter(|(f, _)| is_reducer_name(&f.name)) {
+        file.audit_reducer(item, body, &mut violations, &mut audits);
     }
-    violations.sort();
-    violations.dedup();
     (violations, audits)
 }
 
-impl<'a> Flow<'a> {
-    fn new(path: &'a str, src: &'a str) -> Self {
-        let tokens = lex(src);
-        let code: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-            .map(|(i, _)| i)
-            .collect();
-        Flow {
-            path,
-            src,
-            tokens,
-            code,
-            test_regions: rules::test_region_spans(src),
-        }
-    }
-
-    fn tok(&self, ci: usize) -> Option<&Token> {
-        self.code.get(ci).and_then(|&ti| self.tokens.get(ti))
-    }
-
-    fn txt(&self, ci: usize) -> &str {
-        match self.tok(ci) {
-            Some(t) => t.text(self.src),
-            None => "",
-        }
-    }
-
-    fn kind(&self, ci: usize) -> Option<TokenKind> {
-        self.tok(ci).map(|t| t.kind)
-    }
-
-    fn line(&self, ci: usize) -> u32 {
-        self.tok(ci).map_or(0, |t| t.line)
-    }
-
-    fn in_test(&self, ci: usize) -> bool {
-        let Some(t) = self.tok(ci) else { return false };
-        self.test_regions
-            .iter()
-            .any(|&(s, e)| t.start >= s && t.start < e)
-    }
-
-    fn match_delim(&self, open_ci: usize) -> Option<usize> {
-        let open = self.txt(open_ci);
-        let close = match open {
-            "(" => ")",
-            "[" => "]",
-            "{" => "}",
-            _ => return None,
-        };
-        let mut depth: u32 = 0;
-        let mut ci = open_ci;
-        while ci < self.code.len() {
-            let s = self.txt(ci);
-            if s == open {
-                depth += 1;
-            } else if s == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(ci);
-                }
-            }
-            ci += 1;
-        }
-        None
-    }
-
-    /// Every fn item in the file, test regions excluded.
-    fn fn_items(&self) -> Vec<FnItem> {
-        let mut out = Vec::new();
-        let mut ci = 0;
-        while ci < self.code.len() {
-            let is_fn = self.txt(ci) == "fn"
-                && self.kind(ci) == Some(TokenKind::Ident)
-                && self.kind(ci + 1) == Some(TokenKind::Ident)
-                && (ci == 0 || self.txt(ci - 1) != ".");
-            if !is_fn || self.in_test(ci) {
-                ci += 1;
-                continue;
-            }
-            let name = self.txt(ci + 1).trim_start_matches("r#").to_string();
-            let line = self.line(ci + 1);
-            // Find the body `{` (or `;` for a declaration), paren-aware.
-            let mut k = ci + 2;
-            let mut depth: u32 = 0;
-            let open = loop {
-                match self.txt(k) {
-                    "" => {
-                        return out;
-                    }
-                    ";" if depth == 0 => break None,
-                    "{" if depth == 0 => break Some(k),
-                    "(" | "[" => {
-                        depth += 1;
-                        k += 1;
-                    }
-                    ")" | "]" => {
-                        depth = depth.saturating_sub(1);
-                        k += 1;
-                    }
-                    _ => k += 1,
-                }
-            };
-            let Some(open) = open else {
-                ci = k + 1;
-                continue;
-            };
-            let close = self.match_delim(open).unwrap_or(self.code.len());
-            out.push(FnItem {
-                name,
-                line,
-                sig: (ci + 2, open),
-                body: (open + 1, close),
-            });
-            ci = close + 1;
-        }
-        out
-    }
-
+// The analyses walk the parsed file's token cursor directly.
+impl ParsedFile {
     /// Names of fns in this file whose return type mentions a hash type.
     fn hash_returning_fns(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        for item in self.fn_items() {
+        for (item, _) in live_fns(self) {
             let (s0, s1) = item.sig;
             let mut after_arrow = false;
             for k in s0..s1 {
@@ -349,8 +206,11 @@ impl<'a> Flow<'a> {
 
     /// Idents the fn's result flows out of: `&mut` params plus returned
     /// locals (`return x;` and the trailing-expression ident).
-    fn output_idents(&self, item: &FnItem, bind: &BTreeMap<String, Binding>) -> BTreeSet<String> {
-        let (b0, b1) = item.body;
+    fn output_idents(
+        &self,
+        (b0, b1): (usize, usize),
+        bind: &BTreeMap<String, Binding>,
+    ) -> BTreeSet<String> {
         let mut out: BTreeSet<String> = bind
             .iter()
             .filter(|(_, b)| b.mut_ref_param)
@@ -376,10 +236,15 @@ impl<'a> Flow<'a> {
     }
 
     /// The iteration-flow taint analysis over one fn body.
-    fn analyze_fn(&self, item: &FnItem, hash_fns: &BTreeSet<String>, out: &mut Vec<Violation>) {
-        let (b0, b1) = item.body;
+    fn analyze_fn(
+        &self,
+        item: &FnDef,
+        (b0, b1): (usize, usize),
+        hash_fns: &BTreeSet<String>,
+        out: &mut Vec<Violation>,
+    ) {
         let mut bind = self.param_bindings(item.sig.0, item.sig.1);
-        let outputs = self.output_idents(item, &bind);
+        let outputs = self.output_idents((b0, b1), &bind);
         // Taint chains: ident -> ordered witness steps `(line, text)`.
         let mut taint: BTreeMap<String, Chain> = BTreeMap::new();
         let mut findings: Vec<(u32, String, Chain)> = Vec::new();
@@ -561,11 +426,11 @@ impl<'a> Flow<'a> {
 
         for (line, message, chain) in findings {
             out.push(Violation {
-                path: self.path.to_string(),
+                path: self.path.clone(),
                 line,
                 rule: rules::NONDET_ITERATION_FLOW,
                 message,
-                chain: Some(render_chain(self.path, &chain)),
+                chain: Some(render_chain(&self.path, &chain)),
             });
         }
     }
@@ -856,13 +721,13 @@ impl<'a> Flow<'a> {
     /// The reduction audit for one reducer-named fn.
     fn audit_reducer(
         &self,
-        item: &FnItem,
+        item: &FnDef,
+        (b0, b1): (usize, usize),
         violations: &mut Vec<Violation>,
         audits: &mut Vec<ReducerAudit>,
     ) {
         let (s0, s1) = item.sig;
         let float_sig = (s0..s1).any(|k| matches!(self.txt(k), "f32" | "f64"));
-        let (b0, b1) = item.body;
         let float_body = (b0..b1)
             .any(|k| matches!(self.txt(k), "f32" | "f64") || self.kind_float_literal(k, k + 1));
         let floaty = float_sig || float_body;
@@ -910,7 +775,7 @@ impl<'a> Flow<'a> {
                     })
                     .unwrap_or(item.line);
                 violations.push(Violation {
-                    path: self.path.to_string(),
+                    path: self.path.clone(),
                     line,
                     rule: rules::ORDER_SENSITIVE_REDUCTION,
                     message: format!(
@@ -924,7 +789,7 @@ impl<'a> Flow<'a> {
             }
         }
         audits.push(ReducerAudit {
-            path: self.path.to_string(),
+            path: self.path.clone(),
             fn_name: item.name.clone(),
             line: item.line,
             order_sensitive: sensitive,

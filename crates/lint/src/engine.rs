@@ -1,10 +1,10 @@
-//! Workspace walk, suppression handling, semantic-rule orchestration, and
-//! report assembly.
+//! Workspace walk, the one parse per file, suppression handling, rule
+//! orchestration, and report assembly.
 //!
 //! Suppression grammar (inside any non-doc comment):
 //!
 //! ```text
-//! // seqpat-lint: allow(no-panic-in-kernels, nondeterministic-iteration-flow) why this site is fine
+//! // seqpat-lint: allow(transitive-panic-reachability, nondeterministic-iteration-flow) why this site is fine
 //! ```
 //!
 //! The justification after `)` is mandatory. A suppression covers its own
@@ -14,8 +14,8 @@
 //! under the meta rule `suppression` and are not themselves suppressible.
 //! A valid suppression that silences nothing is reported under
 //! `stale-suppression` — allow-comments must stay honest as code moves.
-//! Doc comments and `#[cfg(test)]` regions are exempt from both: a grammar
-//! example in a doc comment is not a live suppression.
+//! Doc comments and test items (`#[cfg(test)]`, `#[test]`) are exempt from
+//! both: a grammar example in a doc comment is not a live suppression.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -26,7 +26,7 @@ use crate::callgraph::CallGraph;
 use crate::dataflow;
 use crate::determinism;
 use crate::effects;
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::parser::{self, ParsedFile};
 use crate::rules::{self, Violation};
 use crate::semantic;
@@ -99,13 +99,13 @@ pub fn run(root: &Path) -> io::Result<Report> {
     })
 }
 
-/// The full lint pipeline over in-memory `(rel_path, source)` pairs: lexical
-/// rules, suppression handling, effect inference, the parser/call-graph
-/// semantic rules, the determinism analyses, and stale-suppression
-/// accounting. Test-path files are skipped wholesale. Returns the kept
-/// violations (sorted, deduped), the count of findings silenced by valid
-/// suppressions, and the rendered `effects.json` and `determinism.json`
-/// artifacts.
+/// The full lint pipeline over in-memory `(rel_path, source)` pairs: one
+/// parse per file, suppression handling, the per-file rules and dataflow,
+/// effect inference, the call-graph rules, the determinism analyses, and
+/// stale-suppression accounting. Test-path files are skipped wholesale.
+/// Returns the kept violations (sorted, deduped), the count of findings
+/// silenced by valid suppressions, and the rendered `effects.json` and
+/// `determinism.json` artifacts.
 pub fn lint_sources(inputs: &[(String, String)]) -> (Vec<Violation>, usize, String, String) {
     let mut all: Vec<Violation> = Vec::new();
     let mut sups_by_path: BTreeMap<&str, Vec<Suppression>> = BTreeMap::new();
@@ -116,64 +116,45 @@ pub fn lint_sources(inputs: &[(String, String)]) -> (Vec<Violation>, usize, Stri
         if rules::is_test_path(rel) {
             continue;
         }
-        let (sups, mut meta) = parse_suppressions(rel, src);
+        let file = parser::parse_file(rel, src);
+        let (sups, mut meta) = parse_suppressions(&file);
         sups_by_path.insert(rel.as_str(), sups);
         all.append(&mut meta);
-        all.append(&mut rules::analyze_file(rel, src));
-        all.append(&mut dataflow::flow_violations(rel, src));
-        let (mut red, mut audits) = dataflow::reduction_audit(rel, src);
+        all.append(&mut rules::file_rules(&file));
+        all.append(&mut dataflow::flow_violations(&file));
+        let (mut red, mut audits) = dataflow::reduction_audit(&file);
         all.append(&mut red);
         reducer_audits.append(&mut audits);
-        parsed.push(parser::parse_file(rel, src));
+        parsed.push(file);
     }
 
-    // Cross-file lexical rule: core's stats.rs fields vs the CLI printer.
-    let stats_rel = "crates/core/src/stats.rs";
-    let cli_rel = "crates/cli/src/main.rs";
-    let find = |want: &str| inputs.iter().find(|(rel, _)| rel == want);
-    if let (Some((_, stats_src)), Some((_, cli_src))) = (find(stats_rel), find(cli_rel)) {
-        all.append(&mut rules::stats_coverage(stats_rel, stats_src, cli_src));
+    // Cross-file rule: core's stats.rs fields vs the CLI printer.
+    let find = |want: &str| parsed.iter().find(|f| f.path == want);
+    if let (Some(stats), Some(cli)) = (
+        find("crates/core/src/stats.rs"),
+        find("crates/cli/src/main.rs"),
+    ) {
+        all.append(&mut rules::stats_coverage(stats, cli));
     }
 
-    // Effect inference and the semantic rules over the parsed workspace.
+    // Effect inference and the call-graph rules over the parsed workspace.
     let graph = CallGraph::build(&parsed);
     let fx = effects::infer(&parsed, &graph);
     let effects_json = effects::to_json(&parsed, &graph, &fx);
-    let mut suppressed = 0usize;
-    // (path, suppression line, rule name) triples that earned their keep.
-    let mut used: BTreeSet<(String, u32, String)> = BTreeSet::new();
-    {
-        let absorb = |path: &str, line: u32| -> bool {
-            let Some(sups) = sups_by_path.get(path) else {
-                return false;
-            };
-            let mut hit = false;
-            for s in sups.iter().filter(|s| s.covers(line)) {
-                for r in &s.rules {
-                    if r == rules::NO_PANIC_IN_KERNELS || r == rules::TRANSITIVE_PANIC_REACHABILITY
-                    {
-                        used.insert((path.to_string(), s.line, r.clone()));
-                        hit = true;
-                    }
-                }
-            }
-            if hit {
-                suppressed += 1;
-            }
-            hit
-        };
-        all.append(&mut semantic::transitive_panic(
-            &parsed, &graph, &fx, absorb,
-        ));
-    }
+    all.append(&mut semantic::transitive_panic(&parsed, &graph, &fx));
     all.append(&mut semantic::no_alloc_in_hot_loop(&parsed));
     all.append(&mut semantic::alloc_calls_in_hot_loop(&parsed, &graph, &fx));
     all.append(&mut semantic::effect_purity(&parsed, &graph, &fx));
     all.append(&mut semantic::exhaustive_strategy_match(&parsed));
     all.append(&mut determinism::shared_mutable_capture(&parsed));
     let determinism_json = determinism::to_json(&parsed, &reducer_audits);
+    all.sort();
+    all.dedup();
 
-    // Apply suppressions to everything else, tracking which earned use.
+    let mut suppressed = 0usize;
+    // (path, suppression line, rule name) triples that earned their keep.
+    let mut used: BTreeSet<(String, u32, String)> = BTreeSet::new();
+    // Apply suppressions, tracking which earned use.
     let mut kept = Vec::new();
     for v in all {
         let matched = if rules::rule_info(v.rule).is_some_and(|r| !r.suppressible) {
@@ -263,26 +244,18 @@ fn is_doc_comment(text: &str) -> bool {
         || (text.starts_with("/**") && text != "/**/")
 }
 
-/// Extracts suppression comments from `src`, returning them plus meta
+/// Extracts suppression comments from `file`, returning them plus meta
 /// violations for malformed/unknown/unjustified ones. Doc comments and
-/// `#[cfg(test)]` regions are skipped entirely.
-fn parse_suppressions(rel: &str, src: &str) -> (Vec<Suppression>, Vec<Violation>) {
-    let tokens = lex(src);
-    let test_regions = rules::test_region_spans(src);
+/// test items are skipped entirely.
+fn parse_suppressions(file: &ParsedFile) -> (Vec<Suppression>, Vec<Violation>) {
     let mut sups = Vec::new();
     let mut meta = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
+    for (i, tok) in file.tokens.iter().enumerate() {
         if !matches!(tok.kind, TokenKind::LineComment | TokenKind::BlockComment) {
             continue;
         }
-        let text = tok.text(src);
-        if is_doc_comment(text) {
-            continue;
-        }
-        if test_regions
-            .iter()
-            .any(|&(s, e)| tok.start >= s && tok.start < e)
-        {
+        let text = tok.text(&file.src);
+        if is_doc_comment(text) || file.in_test(tok.start) {
             continue;
         }
         let Some(at) = text.find("seqpat-lint:") else {
@@ -291,7 +264,7 @@ fn parse_suppressions(rel: &str, src: &str) -> (Vec<Suppression>, Vec<Violation>
         let rest = text[at + "seqpat-lint:".len()..].trim_start();
         let mut bad = |msg: String| {
             meta.push(Violation {
-                path: rel.to_string(),
+                path: file.path.clone(),
                 line: tok.line,
                 rule: rules::SUPPRESSION,
                 message: msg,
@@ -348,7 +321,7 @@ fn parse_suppressions(rel: &str, src: &str) -> (Vec<Suppression>, Vec<Violation>
         }
         sups.push(Suppression {
             line: tok.line,
-            covers_next: comment_starts_line(&tokens, i, src),
+            covers_next: comment_starts_line(&file.tokens, i),
             rules: rule_names,
         });
     }
@@ -356,7 +329,7 @@ fn parse_suppressions(rel: &str, src: &str) -> (Vec<Suppression>, Vec<Violation>
 }
 
 /// True if no code token precedes comment `i` on its line.
-fn comment_starts_line(tokens: &[Token], i: usize, _src: &str) -> bool {
+fn comment_starts_line(tokens: &[Token], i: usize) -> bool {
     let line = tokens[i].line;
     tokens[..i]
         .iter()

@@ -1,12 +1,17 @@
-//! Recursive-descent item parser over the lexer's token stream.
+//! Recursive-descent item parser over the lexer's token stream — the
+//! lint's one front end.
 //!
-//! Produces an item-level view of one source file: functions (with the
-//! calls, panic constructs, allocation sites, and `match` expressions inside
-//! their bodies), enum declarations, and `use … as …` aliases. This is not a
-//! full Rust parser — it recognizes exactly the item structure the semantic
-//! rules need (modules, impls, traits, fns, enums, use-trees) and skips
-//! everything else by balanced-delimiter matching, so unknown syntax
-//! degrades to "no facts extracted" rather than misparses.
+//! [`parse_file`] lexes a file once and keeps everything the later stages
+//! read: the token stream (comments included, for the suppression scanner),
+//! the `#[cfg(test)]` spans, and an item-level view — functions (signature
+//! and body spans, `debug_assert!` interiors, and the calls, panic
+//! constructs, allocation sites, `match` expressions, casts, RNG
+//! constructions, and indexing inside their bodies), enum declarations, and
+//! `use … as …` aliases. This is not a full Rust parser — it recognizes
+//! exactly the item structure the rules need (modules, impls, traits, fns,
+//! enums, use-trees) and skips everything else by balanced-delimiter
+//! matching, so unknown syntax degrades to "no facts extracted" rather than
+//! misparses.
 //!
 //! Loop-scope model: a *loop scope* is the body of a lexical `for`/`while`/
 //! `loop` **or of a closure** (closures passed to iterator adapters and
@@ -19,11 +24,21 @@ use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Token, TokenKind};
 
-/// Parsed view of one source file.
+/// Parsed view of one source file. Spans are half-open ranges of *code
+/// indices* — positions in the comment-free token sequence — unless they
+/// say they are byte spans.
 #[derive(Debug)]
 pub struct ParsedFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
+    /// The source text the tokens index into.
+    pub(crate) src: String,
+    /// Every token, comments included.
+    pub(crate) tokens: Vec<Token>,
+    /// Indices into `tokens` of the code (non-comment) tokens.
+    pub(crate) code: Vec<usize>,
+    /// Byte spans of items gated by `#[cfg(test)]` or marked `#[test]`.
+    pub(crate) test_spans: Vec<(usize, usize)>,
     /// Every `fn` item found, in source order (tests included, flagged).
     pub fns: Vec<FnDef>,
     /// Every `enum` declaration found.
@@ -43,7 +58,8 @@ pub struct EnumDef {
     pub variants: Vec<String>,
 }
 
-/// One `fn` item and the facts extracted from its body.
+/// One `fn` item and the facts extracted from its body. Test fns keep
+/// their spans but no body facts.
 #[derive(Debug)]
 pub struct FnDef {
     /// Name with any `r#` prefix stripped.
@@ -54,14 +70,26 @@ pub struct FnDef {
     pub impl_type: Option<String>,
     /// Inside `#[cfg(test)]` / annotated `#[test]` (body facts are skipped).
     pub is_test: bool,
-    /// Whether the fn has a body at all (trait method decls do not).
-    pub has_body: bool,
-    /// Call sites in the body (excluding `debug_assert*!` interiors).
+    /// Signature tokens after the name, up to the body `{` or the `;`.
+    pub(crate) sig: (usize, usize),
+    /// Body interior; `None` for a declaration (trait method decls).
+    pub(crate) body: Option<(usize, usize)>,
+    /// `debug_assert*!(…)` invocations in the body, from the macro name to
+    /// its closing delimiter inclusive. Every other body fact skips them.
+    pub(crate) debug_asserts: Vec<(usize, usize)>,
+    /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Panic constructs in the body (excluding `debug_assert*!` interiors).
-    pub panics: Vec<PanicSite>,
-    /// I/O macro invocations (`println!`-family) in the body.
-    pub ios: Vec<IoSite>,
+    /// Panic constructs (`.unwrap()`, `.expect()`, `panic!`-family macros).
+    pub panics: Vec<Construct>,
+    /// I/O macro invocations (`println!`-family).
+    pub ios: Vec<Construct>,
+    /// Bare `as <integer>` casts; `what` is the target type.
+    pub casts: Vec<Construct>,
+    /// RNG constructions (`thread_rng()`, `StdRng::seed_from_u64`, …);
+    /// `what` is the constructor name.
+    pub rngs: Vec<Construct>,
+    /// Lines of slice-indexing expressions (`v[i]`, `f(x)[0]`).
+    pub indexes: Vec<u32>,
     /// Allocation sites in the body.
     pub allocs: Vec<AllocSite>,
     /// `match` expressions in the body.
@@ -147,21 +175,12 @@ pub struct CallSite {
     pub in_innermost_loop: bool,
 }
 
-/// One I/O macro invocation (`println!`-family).
+/// One construct a rule may flag, at the line it starts on.
 #[derive(Debug)]
-pub struct IoSite {
+pub struct Construct {
     /// 1-based line.
     pub line: u32,
-    /// Human-readable description, e.g. "`println!`".
-    pub what: String,
-}
-
-/// One panic construct (`.unwrap()`, `.expect()`, `panic!`-family macro).
-#[derive(Debug)]
-pub struct PanicSite {
-    /// 1-based line.
-    pub line: u32,
-    /// Human-readable description of the construct, e.g. "`.unwrap()`".
+    /// Human-readable description, e.g. "`.unwrap()`" or "`println!`".
     pub what: String,
 }
 
@@ -212,6 +231,36 @@ const GROW_METHODS: &[&str] = &["push", "extend", "extend_from_slice"];
 
 /// Associated constructors on uppercase types that allocate (or may).
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "default"];
+
+/// Macros that unconditionally panic when reached.
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// Integer cast targets: a bare `as` to one of these may truncate or wrap.
+const INT_TYPES: &[&str] = &[
+    "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
+];
+
+/// Constructors/methods that mint randomness. `seed_from_u64`/`from_seed`
+/// are included because a seeded RNG outside datagen still makes product
+/// output depend on the seed plumbing rather than the input data.
+const RNG_CONSTRUCTORS: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "from_os_rng",
+    "OsRng",
+    "ThreadRng",
+    "seed_from_u64",
+    "from_seed",
+    "from_rng",
+];
+
+/// Idents that may legitimately precede `[` without it being an index
+/// expression (array literals after `return`, slice patterns, etc.).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "as", "await", "box", "break", "const", "continue", "dyn", "else", "enum", "fn", "for", "if",
+    "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return", "static",
+    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
+];
 
 /// Macros that write to stdout/stderr. `write!`/`writeln!` are deliberately
 /// absent: they target `fmt::Write`/`io::Write` alike and cannot be told
@@ -297,7 +346,8 @@ struct ClosureSpan {
     is_move: bool,
 }
 
-/// Parses one file. `rel_path` is carried through for attribution only.
+/// Lexes and parses one file. `rel_path` is carried through for
+/// attribution only.
 pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
     let tokens = lex(src);
     let code: Vec<usize> = tokens
@@ -306,51 +356,52 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
         .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
         .map(|(i, _)| i)
         .collect();
-    let mut p = Parser {
-        src,
+    let mut file = ParsedFile {
+        path: rel_path.to_string(),
+        src: src.to_string(),
         tokens,
         code,
-        out: ParsedFile {
-            path: rel_path.to_string(),
-            fns: Vec::new(),
-            enums: Vec::new(),
-            aliases: Vec::new(),
-        },
+        test_spans: Vec::new(),
+        fns: Vec::new(),
+        enums: Vec::new(),
+        aliases: Vec::new(),
     };
-    let end = p.code.len();
-    p.items(0, end, false, None);
-    p.out
+    let end = file.code.len();
+    file.items(0, end, false, None);
+    file
 }
 
-struct Parser<'a> {
-    src: &'a str,
-    tokens: Vec<Token>,
-    code: Vec<usize>,
-    out: ParsedFile,
-}
-
-impl Parser<'_> {
-    fn tok(&self, ci: usize) -> Option<&Token> {
+impl ParsedFile {
+    /// Code token at code index `ci`, if in range.
+    pub(crate) fn tok(&self, ci: usize) -> Option<&Token> {
         self.code.get(ci).and_then(|&ti| self.tokens.get(ti))
     }
 
-    fn txt(&self, ci: usize) -> &str {
+    /// Text of the code token at `ci`, or `""` past the end.
+    pub(crate) fn txt(&self, ci: usize) -> &str {
         match self.tok(ci) {
-            Some(t) => t.text(self.src),
+            Some(t) => t.text(&self.src),
             None => "",
         }
     }
 
-    fn kind(&self, ci: usize) -> Option<TokenKind> {
+    /// Kind of the code token at `ci`.
+    pub(crate) fn kind(&self, ci: usize) -> Option<TokenKind> {
         self.tok(ci).map(|t| t.kind)
     }
 
-    fn line(&self, ci: usize) -> u32 {
+    /// 1-based line of the code token at `ci` (0 past the end).
+    pub(crate) fn line(&self, ci: usize) -> u32 {
         self.tok(ci).map_or(0, |t| t.line)
     }
 
+    /// True when byte offset `byte` lies inside a test item.
+    pub(crate) fn in_test(&self, byte: usize) -> bool {
+        self.test_spans.iter().any(|&(s, e)| byte >= s && byte < e)
+    }
+
     /// Code index of the delimiter closing the one at `open_ci`.
-    fn match_delim(&self, open_ci: usize) -> Option<usize> {
+    pub(crate) fn match_delim(&self, open_ci: usize) -> Option<usize> {
         let open = self.txt(open_ci);
         let close = match open {
             "(" => ")",
@@ -401,6 +452,7 @@ impl Parser<'_> {
     fn items(&mut self, mut ci: usize, end: usize, in_test: bool, impl_type: Option<&str>) {
         while ci < end {
             let mut item_test = in_test;
+            let item_start = ci;
             // Attributes (inner attributes are skipped; `#[test]` and
             // `#[cfg(test)]` mark the following item as test code).
             loop {
@@ -533,6 +585,12 @@ impl Parser<'_> {
                 }
                 _ => ci += 1,
             }
+            if item_test && !in_test {
+                let start = self.tok(item_start).map_or(0, |t| t.start);
+                let last = ci.min(self.code.len()).saturating_sub(1);
+                let stop = self.tok(last).map_or(self.src.len(), |t| t.end);
+                self.test_spans.push((start, stop));
+            }
         }
     }
 
@@ -546,10 +604,15 @@ impl Parser<'_> {
             line,
             impl_type: impl_type.map(str::to_string),
             is_test,
-            has_body: false,
+            sig: (ci + 2, ci + 2),
+            body: None,
+            debug_asserts: Vec::new(),
             calls: Vec::new(),
             panics: Vec::new(),
             ios: Vec::new(),
+            casts: Vec::new(),
+            rngs: Vec::new(),
+            indexes: Vec::new(),
             allocs: Vec::new(),
             matches: Vec::new(),
             params: Vec::new(),
@@ -562,11 +625,13 @@ impl Parser<'_> {
         let open = loop {
             match self.txt(k) {
                 "" => {
-                    self.out.fns.push(def);
+                    def.sig.1 = k;
+                    self.fns.push(def);
                     return self.code.len();
                 }
                 ";" if depth == 0 => {
-                    self.out.fns.push(def);
+                    def.sig.1 = k;
+                    self.fns.push(def);
                     return k + 1;
                 }
                 "{" if depth == 0 => break k,
@@ -583,11 +648,12 @@ impl Parser<'_> {
             }
         };
         let close = self.match_delim(open).unwrap_or(self.code.len());
-        def.has_body = true;
+        def.sig.1 = open;
+        def.body = Some((open + 1, close));
         if !is_test {
             self.analyze_body(open + 1, close, &mut def);
         }
-        self.out.fns.push(def);
+        self.fns.push(def);
         close + 1
     }
 
@@ -632,7 +698,7 @@ impl Parser<'_> {
             }
             j += 1;
         }
-        self.out.enums.push(EnumDef {
+        self.enums.push(EnumDef {
             name,
             line,
             variants,
@@ -655,7 +721,7 @@ impl Parser<'_> {
                 "as" => {
                     let alias = self.txt(k + 1).trim_start_matches("r#").to_string();
                     if !alias.is_empty() && !last_seg.is_empty() && alias != "_" {
-                        self.out.aliases.push((alias, last_seg.clone()));
+                        self.aliases.push((alias, last_seg.clone()));
                     }
                     k += 1;
                 }
@@ -669,8 +735,7 @@ impl Parser<'_> {
         }
     }
 
-    /// Extracts calls, panics, allocations, and matches from a fn body
-    /// spanning code indices `[b0, b1)`.
+    /// Extracts the body facts of `def` from the code indices `[b0, b1)`.
     fn analyze_body(&mut self, b0: usize, b1: usize, def: &mut FnDef) {
         let da = self.debug_assert_spans(b0, b1);
         let in_da = |ci: usize| da.iter().any(|&(s, e)| ci >= s && ci <= e);
@@ -696,36 +761,65 @@ impl Parser<'_> {
 
         let mut ci = b0;
         while ci < b1 {
-            if self.kind(ci) != Some(TokenKind::Ident) || in_da(ci) {
+            if in_da(ci) {
                 ci += 1;
                 continue;
             }
             let t = self.txt(ci);
             let line = self.line(ci);
-            let after_dot = ci > b0 && self.txt(ci.wrapping_sub(1)) == ".";
-            let after_fn = ci > b0 && self.txt(ci.wrapping_sub(1)) == "fn";
+            let prev = self.txt(ci.wrapping_sub(1));
+            if self.kind(ci) != Some(TokenKind::Ident) {
+                // `[` right after a value (an ident that is not a keyword,
+                // or a closing `)`/`]`/`?`) is an indexing expression.
+                let indexes = t == "["
+                    && match self.kind(ci.wrapping_sub(1)) {
+                        Some(TokenKind::Ident) => !NON_INDEX_KEYWORDS.contains(&prev),
+                        Some(TokenKind::Punct) => matches!(prev, ")" | "]" | "?"),
+                        _ => false,
+                    };
+                if indexes {
+                    def.indexes.push(line);
+                }
+                ci += 1;
+                continue;
+            }
+            let after_dot = ci > b0 && prev == ".";
+            let after_fn = ci > b0 && prev == "fn";
             let bang = self.txt(ci + 1) == "!";
+            let site = |what: String| Construct { line, what };
 
             // Panic constructs.
-            if bang && crate::rules::PANIC_MACROS.contains(&t) {
-                def.panics.push(PanicSite {
-                    line,
-                    what: format!("`{t}!`"),
-                });
+            if bang && PANIC_MACROS.contains(&t) {
+                def.panics.push(site(format!("`{t}!`")));
             }
             if after_dot && (t == "unwrap" || t == "expect") && self.txt(ci + 1) == "(" {
-                def.panics.push(PanicSite {
-                    line,
-                    what: format!("`.{t}()`"),
-                });
+                def.panics.push(site(format!("`.{t}()`")));
             }
 
             // I/O macros.
             if bang && IO_MACROS.contains(&t) {
-                def.ios.push(IoSite {
-                    line,
-                    what: format!("`{t}!`"),
-                });
+                def.ios.push(site(format!("`{t}!`")));
+            }
+
+            // Bare integer casts.
+            if t == "as" && INT_TYPES.contains(&self.txt(ci + 1)) {
+                def.casts.push(site(self.txt(ci + 1).to_string()));
+            }
+
+            // RNG construction: a call `name(`, a path segment `::Name`, or
+            // a turbofish `Name::`, outside a `use` line.
+            if RNG_CONSTRUCTORS.contains(&t)
+                && (self.txt(ci + 1) == "("
+                    || (prev == ":" && self.txt(ci.wrapping_sub(2)) == ":")
+                    || (self.txt(ci + 1) == ":" && self.txt(ci + 2) == ":"))
+                && !(0..ci)
+                    .rev()
+                    .take(12)
+                    .map(|k| self.txt(k))
+                    .take_while(|s| *s != ";" && *s != "}")
+                    .any(|s| s == "use")
+            {
+                def.rngs.push(site(t.to_string()));
             }
 
             // Allocation sites.
@@ -809,6 +903,7 @@ impl Parser<'_> {
         }
 
         self.extract_closures(b0, b1, def);
+        def.debug_asserts = da;
     }
 
     /// Parses the parameter list of a fn whose signature starts at `k`
@@ -1722,6 +1817,44 @@ fn f(n: u32) -> u32 {
         assert_eq!(p[0].name, "a");
         assert_eq!(p[0].ty, "& mut Vec < u32 >");
         assert_eq!(p[1].name, "b");
+    }
+
+    #[test]
+    fn test_items_are_byte_spans() {
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n#[test]\nfn u() {}\n";
+        let f = parse_file("x.rs", src);
+        let spans: Vec<&str> = f.test_spans.iter().map(|&(s, e)| &src[s..e]).collect();
+        assert_eq!(
+            spans,
+            vec![
+                "#[cfg(test)]\nmod tests {\n    fn t() {}\n}",
+                "#[test]\nfn u() {}"
+            ]
+        );
+        assert!(!f.in_test(src.find("live").unwrap()));
+    }
+
+    #[test]
+    fn casts_rng_constructions_and_indexing_are_collected() {
+        let src = r#"
+use rand::thread_rng;
+fn f(v: &[u32], n: usize) -> u32 {
+    let mut rng = thread_rng();
+    let x = n as u32 + (n as f64) as u32;
+    debug_assert!(v[0] as usize == n);
+    v[n] + [1u32, 2][0]
+}
+"#;
+        let f = parse_file("x.rs", src);
+        let g = &f.fns[0];
+        assert_eq!(g.rngs.len(), 1);
+        assert_eq!(g.rngs[0].line, 4);
+        let casts: Vec<&str> = g.casts.iter().map(|c| c.what.as_str()).collect();
+        assert_eq!(casts, vec!["u32", "u32"]);
+        // `v[n]` and the literal's `[0]`; the array literal and the
+        // debug_assert interior are not indexing sites.
+        assert_eq!(g.indexes, vec![7, 7]);
+        assert_eq!(g.debug_asserts.len(), 1);
     }
 
     #[test]

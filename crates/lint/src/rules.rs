@@ -1,32 +1,28 @@
-//! The seqpat lint rule registry and the per-file lexical rules.
+//! The seqpat lint rule registry, the path predicates that scope the
+//! rules, and the per-file rules over parser facts.
 //!
-//! The rules here are lexical heuristics, tuned for this workspace's idioms.
-//! They are deliberately simple: the goal is to catch the classes of drift
-//! named in DESIGN.md (panics and lossy casts in the counting kernels, stray
-//! wall-clock reads, stray RNG construction, unreported stats), not to parse
-//! Rust. The semantic rules live in `semantic`, `effects`, `dataflow`, and
-//! `determinism`; the registry below covers every tier. Anything a heuristic
-//! gets wrong can be silenced at the site with an allow-comment naming the
-//! rule (see `engine` for the grammar).
+//! Every rule reads [`crate::parser::ParsedFile`]s: the per-file rules here
+//! (lossy casts in kernel files, RNG construction outside datagen, and the
+//! cross-file `MiningStats` coverage check) read fact lists and tokens the
+//! one parse collected; the workspace rules live in `semantic`, `effects`,
+//! `dataflow`, and `determinism`. The registry below covers every tier.
+//! Anything a rule gets wrong can be silenced at the site with an
+//! allow-comment naming the rule (see `engine` for the grammar).
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::TokenKind;
+use crate::parser::ParsedFile;
 
-/// Rule: no `unwrap()`/`expect()`/panic-family macros/unguarded indexing in
-/// kernel files outside `#[cfg(test)]`.
-pub const NO_PANIC_IN_KERNELS: &str = "no-panic-in-kernels";
 /// Rule: no bare `as <integer>` casts in kernel files.
 pub const NO_LOSSY_CASTS_IN_KERNELS: &str = "no-lossy-casts-in-kernels";
-/// Rule: `Instant`/`SystemTime` only in stats.rs, the bench crate, the CLI.
-pub const NO_WALL_CLOCK_OUTSIDE_STATS: &str = "no-wall-clock-outside-stats";
 /// Rule: every public `MiningStats` field is surfaced by the CLI printer.
 pub const STATS_COVERAGE: &str = "stats-coverage";
 /// Meta rule reported for malformed/unjustified suppression comments.
 pub const SUPPRESSION: &str = "suppression";
-/// Rule: no panic construct reachable from kernel entry points through the
-/// workspace call graph (the cross-file generalization of
-/// [`NO_PANIC_IN_KERNELS`]).
+/// Rule: no panic construct in a kernel fn or in any fn reachable from one
+/// through the workspace call graph, and no slice indexing in a kernel fn
+/// that states no `debug_assert!` invariant.
 pub const TRANSITIVE_PANIC_REACHABILITY: &str = "transitive-panic-reachability";
 /// Rule: no allocation in the innermost loop of a kernel fn.
 pub const NO_ALLOC_IN_HOT_LOOP: &str = "no-alloc-in-hot-loop";
@@ -36,8 +32,7 @@ pub const EXHAUSTIVE_STRATEGY_MATCH: &str = "exhaustive-strategy-match";
 /// Rule: no file/stdio I/O reachable from a compute-kernel fn (effect
 /// query; the I/O plumbing files are the sanctioned zone).
 pub const NO_IO_IN_KERNELS: &str = "no-io-in-kernels";
-/// Rule: no wall-clock read reachable from a kernel fn (effect query; the
-/// transitive generalization of [`NO_WALL_CLOCK_OUTSIDE_STATS`]).
+/// Rule: no wall-clock read reachable from a kernel fn (effect query).
 pub const NO_WALL_CLOCK_IN_KERNELS: &str = "no-wall-clock-in-kernels";
 /// Rule: no thread spawn reachable from a kernel fn — kernels are leaf
 /// compute; fan-out is owned by one justified-suppressed site.
@@ -87,12 +82,13 @@ impl Severity {
     }
 }
 
-/// Which analysis layer produces a rule's findings.
+/// Where a rule runs: over one parsed file, or over the whole parsed
+/// workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Per-file token-stream heuristics.
-    Lexical,
-    /// Parser/call-graph driven, workspace-wide.
+    /// Per-file: the parser's facts and tokens of one file.
+    File,
+    /// Workspace-wide: call graph, effect table, or a cross-file check.
     Semantic,
     /// About the lint comments themselves.
     Meta,
@@ -102,7 +98,7 @@ impl Tier {
     /// Lowercase name, as printed by `--list-rules`.
     pub fn as_str(self) -> &'static str {
         match self {
-            Tier::Lexical => "lexical",
+            Tier::File => "file",
             Tier::Semantic => "semantic",
             Tier::Meta => "meta",
         }
@@ -128,33 +124,17 @@ pub struct RuleInfo {
 /// Every rule, in `--list-rules` order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: NO_PANIC_IN_KERNELS,
-        severity: Severity::Deny,
-        tier: Tier::Lexical,
-        suppressible: true,
-        desc: "kernel files must not unwrap()/expect(), invoke panic-family macros, \
-               or slice-index outside debug_assert-guarded fns (non-test code)",
-    },
-    RuleInfo {
         name: NO_LOSSY_CASTS_IN_KERNELS,
         severity: Severity::Deny,
-        tier: Tier::Lexical,
+        tier: Tier::File,
         suppressible: true,
         desc: "kernel files must use the cast helpers (cast::idx/w64/id32) or \
                try_into instead of bare `as <integer>` casts",
     },
     RuleInfo {
-        name: NO_WALL_CLOCK_OUTSIDE_STATS,
-        severity: Severity::Deny,
-        tier: Tier::Lexical,
-        suppressible: true,
-        desc: "Instant/SystemTime are confined to stats.rs, crates/bench, and \
-               crates/cli",
-    },
-    RuleInfo {
         name: STATS_COVERAGE,
         severity: Severity::Deny,
-        tier: Tier::Lexical,
+        tier: Tier::Semantic,
         suppressible: true,
         desc: "every public MiningStats field must be referenced by the CLI \
                --stats printer",
@@ -164,8 +144,9 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Deny,
         tier: Tier::Semantic,
         suppressible: true,
-        desc: "no unwrap()/expect()/panic-family macro in any fn reachable from \
-               a kernel entry point through the workspace call graph",
+        desc: "no unwrap()/expect()/panic-family macro in a kernel fn or any fn \
+               it reaches through the workspace call graph, and no slice \
+               indexing in a kernel fn without a debug_assert! invariant",
     },
     RuleInfo {
         name: NO_ALLOC_IN_HOT_LOOP,
@@ -198,8 +179,7 @@ pub const RULES: &[RuleInfo] = &[
         tier: Tier::Semantic,
         suppressible: true,
         desc: "no Instant/SystemTime/elapsed effect reachable from a kernel fn \
-               through the call graph (the transitive form of \
-               no-wall-clock-outside-stats)",
+               through the call graph",
     },
     RuleInfo {
         name: NO_SPAWN_IN_KERNELS,
@@ -213,7 +193,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: SHARED_MUTABLE_CAPTURE,
         severity: Severity::Deny,
-        tier: Tier::Semantic,
+        tier: Tier::File,
         suppressible: true,
         desc: "closures handed to thread::scope/spawn/map_chunks must not \
                capture &mut or interior-mutable (Mutex/RefCell/Atomic*) shared \
@@ -222,7 +202,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: ORDER_SENSITIVE_REDUCTION,
         severity: Severity::Deny,
-        tier: Tier::Semantic,
+        tier: Tier::File,
         suppressible: true,
         desc: "partial-merge fns (merge*/combine*/reduce*/*_partials) must \
                combine chunk results associatively and commutatively — no \
@@ -231,7 +211,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: NONDET_ITERATION_FLOW,
         severity: Severity::Deny,
-        tier: Tier::Semantic,
+        tier: Tier::File,
         suppressible: true,
         desc: "hash-container iteration order must not reach an output, a \
                format!, a float accumulator, or a general fold without a sort \
@@ -240,7 +220,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: UNSEEDED_RANDOMNESS,
         severity: Severity::Deny,
-        tier: Tier::Lexical,
+        tier: Tier::File,
         suppressible: true,
         desc: "RNG construction (thread_rng/from_entropy/OsRng/seed_from_u64) \
                is confined to crates/datagen, crates/bench, the rand/proptest \
@@ -313,11 +293,11 @@ pub struct Violation {
     /// Human-readable explanation of the finding.
     pub message: String,
     /// Minimal witness chain for effect-query findings (`--explain`), e.g.
-    /// `"count_pass -> helper -> deep"`. `None` for lexical/meta findings.
+    /// `"count_pass -> helper -> deep"`. `None` when a finding has no chain.
     pub chain: Option<String>,
 }
 
-/// Basenames of the counting-kernel files (rules 1 and 3 apply here).
+/// Basenames of the counting-kernel files, where the kernel rules apply.
 /// `trie.rs` and `lookup.rs` are the serve layer's index builder and query
 /// hot path (`crates/serve`), held to the same discipline; `readat.rs` is
 /// the positioned-read shim on the shard hot path.
@@ -345,40 +325,9 @@ const KERNEL_PATH_SUFFIXES: &[&str] = &["io/src/stream.rs"];
 /// define (positioned shard reads are their entire purpose).
 const IO_PLUMBING_BASENAMES: &[&str] = &["colstore.rs", "readat.rs"];
 
-/// Macros that unconditionally panic when reached (shared with the parser's
-/// panic-site extraction).
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-const INT_TYPES: &[&str] = &[
-    "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
-];
-
 /// Hash-container type names (order of iteration is nondeterministic).
 /// Shared with the `dataflow` taint analysis.
 pub(crate) const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
-
-/// Constructors/methods that mint randomness. Matched as `name(`-style calls
-/// or `::Name` paths; `seed_from_u64`/`from_seed` are included because a
-/// seeded RNG outside datagen still makes product output depend on the seed
-/// plumbing rather than the input data.
-const RNG_CONSTRUCTORS: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "from_os_rng",
-    "OsRng",
-    "ThreadRng",
-    "seed_from_u64",
-    "from_seed",
-    "from_rng",
-];
-
-/// Idents that may legitimately precede `[` without it being an index
-/// expression (array literals after `return`, slice patterns, etc.).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "as", "await", "box", "break", "const", "continue", "dyn", "else", "enum", "fn", "for", "if",
-    "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return", "static",
-    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
-];
 
 fn basename(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
@@ -415,8 +364,8 @@ pub fn is_io_sanctioned_path(path: &str) -> bool {
         || basename(path) == "format.rs"
 }
 
-/// Sanctioned zone of the `WallClock` effect: mirrors the lexical
-/// `no-wall-clock-outside-stats` allowance, plus the criterion shim.
+/// Sanctioned zone of the `WallClock` effect: the stats layer, the bench
+/// and CLI front ends, and the criterion shim.
 pub fn is_clock_sanctioned_path(path: &str) -> bool {
     basename(path) == "stats.rs"
         || path.starts_with("crates/bench/")
@@ -461,468 +410,68 @@ pub fn self_contained_crate(path: &str) -> Option<&'static str> {
         .copied()
 }
 
-fn wall_clock_allowed(path: &str) -> bool {
-    basename(path) == "stats.rs"
-        || path.starts_with("crates/bench/")
-        || path.starts_with("crates/cli/")
-}
-
-/// Byte range of one fn body together with whether it states an invariant.
-struct FnBody {
-    start: usize,
-    end: usize,
-    has_debug_assert: bool,
-}
-
-struct Analysis<'a> {
-    path: &'a str,
-    src: &'a str,
-    tokens: Vec<Token>,
-    /// Indices into `tokens` of non-comment tokens.
-    code: Vec<usize>,
-    test_regions: Vec<(usize, usize)>,
-    debug_assert_spans: Vec<(usize, usize)>,
-    fn_bodies: Vec<FnBody>,
-    out: Vec<Violation>,
-}
-
-/// Runs the per-file rules (1–4) over one source file. `rel_path` must be
-/// workspace-relative with `/` separators — rule applicability is decided
-/// from it.
-pub fn analyze_file(rel_path: &str, src: &str) -> Vec<Violation> {
-    if is_test_path(rel_path) {
-        return Vec::new();
-    }
-    let tokens = lex(src);
-    let code: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
-    let mut a = Analysis {
-        path: rel_path,
-        src,
-        tokens,
-        code,
-        test_regions: Vec::new(),
-        debug_assert_spans: Vec::new(),
-        fn_bodies: Vec::new(),
-        out: Vec::new(),
-    };
-    a.find_test_regions();
-    a.find_debug_assert_spans();
-    a.find_fn_bodies();
-    a.rule_no_panic();
-    a.rule_no_lossy_casts();
-    a.rule_no_wall_clock();
-    a.rule_unseeded_randomness();
-    a.out.sort();
-    a.out.dedup();
-    a.out
-}
-
-/// Byte spans of `#[cfg(test)]`-gated items in `src`. The engine's
-/// suppression scanner uses this so allow-comments inside test-only code
-/// are neither live nor reported stale.
-pub fn test_region_spans(src: &str) -> Vec<(usize, usize)> {
-    let tokens = lex(src);
-    let code: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
-    let mut a = Analysis {
-        path: "",
-        src,
-        tokens,
-        code,
-        test_regions: Vec::new(),
-        debug_assert_spans: Vec::new(),
-        fn_bodies: Vec::new(),
-        out: Vec::new(),
-    };
-    a.find_test_regions();
-    a.test_regions
-}
-
-impl Analysis<'_> {
-    /// Token at code index `ci`, if in range.
-    fn tok(&self, ci: usize) -> Option<&Token> {
-        self.code.get(ci).and_then(|&ti| self.tokens.get(ti))
-    }
-
-    /// Text of the code token at `ci`, or `""` past the end.
-    fn txt(&self, ci: usize) -> &str {
-        match self.tok(ci) {
-            Some(t) => t.text(self.src),
-            None => "",
+/// The per-file rules over one parsed file's facts:
+/// `no-lossy-casts-in-kernels` and `unseeded-randomness-outside-datagen`.
+pub fn file_rules(file: &ParsedFile) -> Vec<Violation> {
+    let kernel = is_kernel_path(&file.path);
+    let random_ok = is_random_sanctioned_path(&file.path);
+    let mut found: Vec<(&'static str, u32, String)> = Vec::new();
+    for f in &file.fns {
+        if kernel {
+            for c in &f.casts {
+                found.push((
+                    NO_LOSSY_CASTS_IN_KERNELS,
+                    c.line,
+                    format!(
+                        "bare `as {}` cast in a kernel file; use the cast helpers \
+                         (cast::idx / cast::w64 / cast::id32) or `try_into`",
+                        c.what
+                    ),
+                ));
+            }
+        }
+        if !random_ok {
+            for r in &f.rngs {
+                found.push((
+                    UNSEEDED_RANDOMNESS,
+                    r.line,
+                    format!(
+                        "`{}` constructs randomness outside the sanctioned zone \
+                         (crates/datagen, crates/bench, the rand/proptest shims, tests); \
+                         product output must be a function of the input data",
+                        r.what
+                    ),
+                ));
+            }
         }
     }
-
-    fn kind(&self, ci: usize) -> Option<TokenKind> {
-        self.tok(ci).map(|t| t.kind)
-    }
-
-    fn push(&mut self, rule: &'static str, line: u32, message: String) {
-        self.out.push(Violation {
-            path: self.path.to_string(),
+    found
+        .into_iter()
+        .map(|(rule, line, message)| Violation {
+            path: file.path.clone(),
             line,
             rule,
             message,
             chain: None,
-        });
-    }
-
-    /// Code index of the delimiter closing the one at `open_ci`.
-    fn match_delim(&self, open_ci: usize) -> Option<usize> {
-        let open = self.txt(open_ci);
-        let close = match open {
-            "(" => ")",
-            "[" => "]",
-            "{" => "}",
-            _ => return None,
-        };
-        let mut depth: u32 = 0;
-        let mut ci = open_ci;
-        while ci < self.code.len() {
-            let s = self.txt(ci);
-            if s == open {
-                depth += 1;
-            } else if s == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(ci);
-                }
-            }
-            ci += 1;
-        }
-        None
-    }
-
-    fn in_spans(byte: usize, spans: &[(usize, usize)]) -> bool {
-        spans.iter().any(|&(s, e)| byte >= s && byte < e)
-    }
-
-    fn in_test(&self, byte: usize) -> bool {
-        Self::in_spans(byte, &self.test_regions)
-    }
-
-    fn in_debug_assert(&self, byte: usize) -> bool {
-        Self::in_spans(byte, &self.debug_assert_spans)
-    }
-
-    /// True if the innermost fn enclosing `byte` states a `debug_assert!`
-    /// invariant (the contract under which kernel indexing is allowed).
-    fn enclosing_fn_has_debug_assert(&self, byte: usize) -> bool {
-        self.fn_bodies
-            .iter()
-            .filter(|f| byte >= f.start && byte < f.end)
-            .max_by_key(|f| f.start)
-            .is_some_and(|f| f.has_debug_assert)
-    }
-
-    /// Records byte ranges of `#[cfg(test)]`-gated items.
-    fn find_test_regions(&mut self) {
-        let mut ci = 0;
-        while ci < self.code.len() {
-            let is_cfg_test = self.txt(ci) == "#"
-                && self.txt(ci + 1) == "["
-                && self.txt(ci + 2) == "cfg"
-                && self.txt(ci + 3) == "("
-                && self.txt(ci + 4) == "test"
-                && self.txt(ci + 5) == ")"
-                && self.txt(ci + 6) == "]";
-            if !is_cfg_test {
-                ci += 1;
-                continue;
-            }
-            let region_start = match self.tok(ci) {
-                Some(t) => t.start,
-                None => break,
-            };
-            // Skip any further attributes between the cfg and the item.
-            let mut j = ci + 7;
-            while self.txt(j) == "#" && self.txt(j + 1) == "[" {
-                match self.match_delim(j + 1) {
-                    Some(close) => j = close + 1,
-                    None => break,
-                }
-            }
-            // The gated item ends at its matching `}` (mod/fn body) or at a
-            // top-level `;` (gated use/static), whichever comes first.
-            let mut end = self.src.len();
-            let mut k = j;
-            loop {
-                match self.txt(k) {
-                    "" => break,
-                    ";" => {
-                        if let Some(t) = self.tok(k) {
-                            end = t.end;
-                        }
-                        break;
-                    }
-                    "{" => {
-                        end = self
-                            .match_delim(k)
-                            .and_then(|c| self.tok(c))
-                            .map_or(self.src.len(), |t| t.end);
-                        break;
-                    }
-                    _ => k += 1,
-                }
-            }
-            self.test_regions.push((region_start, end));
-            ci = j;
-        }
-    }
-
-    /// Records byte spans of `debug_assert*!(…)` invocations; rules 1 and 3
-    /// skip tokens inside them (asserts may index and cast freely).
-    fn find_debug_assert_spans(&mut self) {
-        for ci in 0..self.code.len() {
-            let starts = self.kind(ci) == Some(TokenKind::Ident)
-                && self.txt(ci).starts_with("debug_assert")
-                && self.txt(ci + 1) == "!";
-            if !starts {
-                continue;
-            }
-            if !matches!(self.txt(ci + 2), "(" | "[" | "{") {
-                continue;
-            }
-            if let (Some(start), Some(end)) = (
-                self.tok(ci).map(|t| t.start),
-                self.match_delim(ci + 2)
-                    .and_then(|c| self.tok(c))
-                    .map(|t| t.end),
-            ) {
-                self.debug_assert_spans.push((start, end));
-            }
-        }
-    }
-
-    /// Records every fn body's byte range and whether it contains a
-    /// `debug_assert`.
-    fn find_fn_bodies(&mut self) {
-        let mut bodies = Vec::new();
-        for ci in 0..self.code.len() {
-            if self.txt(ci) != "fn" || self.kind(ci) != Some(TokenKind::Ident) {
-                continue;
-            }
-            // Find the body `{`; a `;` first means a bodyless declaration.
-            let mut k = ci + 1;
-            let mut open = None;
-            for _ in 0..400 {
-                match self.txt(k) {
-                    "" | ";" => break,
-                    "{" => {
-                        open = Some(k);
-                        break;
-                    }
-                    _ => k += 1,
-                }
-            }
-            let Some(open) = open else { continue };
-            let close = self.match_delim(open);
-            let start = match self.tok(open) {
-                Some(t) => t.start,
-                None => continue,
-            };
-            let end = close
-                .and_then(|c| self.tok(c))
-                .map_or(self.src.len(), |t| t.end);
-            let close_ci = close.unwrap_or(self.code.len());
-            let has_debug_assert = (open..close_ci).any(|i| {
-                self.kind(i) == Some(TokenKind::Ident) && self.txt(i).starts_with("debug_assert")
-            });
-            bodies.push(FnBody {
-                start,
-                end,
-                has_debug_assert,
-            });
-        }
-        self.fn_bodies = bodies;
-    }
-
-    /// Rule 1: no-panic-in-kernels.
-    fn rule_no_panic(&mut self) {
-        if !is_kernel_path(self.path) {
-            return;
-        }
-        let mut found: Vec<(u32, String)> = Vec::new();
-        for ci in 0..self.code.len() {
-            let Some(tok) = self.tok(ci) else { break };
-            let (byte, line, kind) = (tok.start, tok.line, tok.kind);
-            if self.in_test(byte) || self.in_debug_assert(byte) {
-                continue;
-            }
-            let s = self.txt(ci);
-            match kind {
-                TokenKind::Ident if PANIC_MACROS.contains(&s) && self.txt(ci + 1) == "!" => {
-                    found.push((
-                        line,
-                        format!(
-                            "`{s}!` in a kernel file; restructure, or suppress with a \
-                             justification if the branch is provably unreachable"
-                        ),
-                    ));
-                }
-                TokenKind::Ident
-                    if (s == "unwrap" || s == "expect")
-                        && self.txt(ci + 1) == "("
-                        && ci > 0
-                        && self.txt(ci - 1) == "." =>
-                {
-                    found.push((
-                        line,
-                        format!("`.{s}()` in a kernel file; use match/if-let or `unwrap_or*`"),
-                    ));
-                }
-                TokenKind::Punct if s == "[" && ci > 0 => {
-                    let prev_txt = self.txt(ci - 1).to_string();
-                    let indexes = match self.kind(ci - 1) {
-                        Some(TokenKind::Ident) => !NON_INDEX_KEYWORDS.contains(&prev_txt.as_str()),
-                        Some(TokenKind::Punct) => matches!(prev_txt.as_str(), ")" | "]" | "?"),
-                        _ => false,
-                    };
-                    if indexes && !self.enclosing_fn_has_debug_assert(byte) {
-                        found.push((
-                            line,
-                            "slice indexing in a kernel fn with no `debug_assert!` stating \
-                             the bound invariant; add one (or use `.get()`)"
-                                .to_string(),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (line, msg) in found {
-            self.push(NO_PANIC_IN_KERNELS, line, msg);
-        }
-    }
-
-    /// Rule 3: no-lossy-casts-in-kernels.
-    fn rule_no_lossy_casts(&mut self) {
-        if !is_kernel_path(self.path) {
-            return;
-        }
-        let mut found: Vec<(u32, String)> = Vec::new();
-        for ci in 0..self.code.len() {
-            let Some(tok) = self.tok(ci) else { break };
-            if tok.kind != TokenKind::Ident || self.txt(ci) != "as" {
-                continue;
-            }
-            if self.in_test(tok.start) || self.in_debug_assert(tok.start) {
-                continue;
-            }
-            let target = self.txt(ci + 1);
-            if INT_TYPES.contains(&target) {
-                found.push((
-                    tok.line,
-                    format!(
-                        "bare `as {target}` cast in a kernel file; use the cast helpers \
-                         (cast::idx / cast::w64 / cast::id32) or `try_into`"
-                    ),
-                ));
-            }
-        }
-        for (line, msg) in found {
-            self.push(NO_LOSSY_CASTS_IN_KERNELS, line, msg);
-        }
-    }
-
-    /// Rule 4: no-wall-clock-outside-stats.
-    fn rule_no_wall_clock(&mut self) {
-        if wall_clock_allowed(self.path) {
-            return;
-        }
-        let mut found: Vec<(u32, String)> = Vec::new();
-        for ci in 0..self.code.len() {
-            let Some(tok) = self.tok(ci) else { break };
-            if tok.kind != TokenKind::Ident || self.in_test(tok.start) {
-                continue;
-            }
-            let s = self.txt(ci);
-            if s == "Instant" || s == "SystemTime" {
-                found.push((
-                    tok.line,
-                    format!(
-                        "`{s}` outside stats.rs/bench/cli; time through \
-                         `stats::Stopwatch` so wall-clock stays in one place"
-                    ),
-                ));
-            }
-        }
-        for (line, msg) in found {
-            self.push(NO_WALL_CLOCK_OUTSIDE_STATS, line, msg);
-        }
-    }
-
-    /// Rule: unseeded-randomness-outside-datagen.
-    fn rule_unseeded_randomness(&mut self) {
-        if is_random_sanctioned_path(self.path) {
-            return;
-        }
-        let mut found: Vec<(u32, String)> = Vec::new();
-        for ci in 0..self.code.len() {
-            let Some(tok) = self.tok(ci) else { break };
-            if tok.kind != TokenKind::Ident || self.in_test(tok.start) {
-                continue;
-            }
-            let s = self.txt(ci);
-            if !RNG_CONSTRUCTORS.contains(&s) {
-                continue;
-            }
-            // A call `name(`, a path segment `::Name`, or a turbofish
-            // `Name::`; a bare ident in a `use` line or doc position is not
-            // RNG construction.
-            let constructs = self.txt(ci + 1) == "("
-                || (ci >= 2 && self.txt(ci - 1) == ":" && self.txt(ci - 2) == ":")
-                || (self.txt(ci + 1) == ":" && self.txt(ci + 2) == ":");
-            let in_use = (0..ci)
-                .rev()
-                .take(12)
-                .map(|k| self.txt(k))
-                .take_while(|t| *t != ";" && *t != "}")
-                .any(|t| t == "use");
-            if constructs && !in_use {
-                found.push((
-                    tok.line,
-                    format!(
-                        "`{s}` constructs randomness outside the sanctioned zone \
-                         (crates/datagen, crates/bench, the rand/proptest shims, tests); \
-                         product output must be a function of the input data"
-                    ),
-                ));
-            }
-        }
-        for (line, msg) in found {
-            self.push(UNSEEDED_RANDOMNESS, line, msg);
-        }
-    }
+        })
+        .collect()
 }
 
-/// Rule 5: stats-coverage. Parses the public fields of `MiningStats` out of
-/// `stats_src` (core's stats.rs) and requires each field ident to appear
-/// somewhere in `cli_src` (the CLI, which owns the `--stats` printer).
-pub fn stats_coverage(stats_rel_path: &str, stats_src: &str, cli_src: &str) -> Vec<Violation> {
-    let fields = mining_stats_fields(stats_src);
-    if fields.is_empty() {
-        return Vec::new();
-    }
-    let cli_tokens = lex(cli_src);
-    let cli_idents: BTreeSet<&str> = cli_tokens
+/// Rule: stats-coverage. Reads the public fields of `MiningStats` out of
+/// `stats` (core's stats.rs) and requires each field ident to appear
+/// somewhere in `cli` (the CLI, which owns the `--stats` printer).
+pub fn stats_coverage(stats: &ParsedFile, cli: &ParsedFile) -> Vec<Violation> {
+    let cli_idents: BTreeSet<&str> = cli
+        .tokens
         .iter()
         .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text(cli_src))
+        .map(|t| t.text(&cli.src))
         .collect();
-    fields
+    mining_stats_fields(stats)
         .into_iter()
-        .filter(|(name, _)| !cli_idents.contains(name.as_str()))
+        .filter(|(name, _)| !cli_idents.contains(name))
         .map(|(name, line)| Violation {
-            path: stats_rel_path.to_string(),
+            path: stats.path.clone(),
             line,
             rule: STATS_COVERAGE,
             message: format!(
@@ -934,46 +483,32 @@ pub fn stats_coverage(stats_rel_path: &str, stats_src: &str, cli_src: &str) -> V
         .collect()
 }
 
-/// `(name, line)` of each `pub` field of `struct MiningStats` in `src`.
-fn mining_stats_fields(src: &str) -> Vec<(String, u32)> {
-    let tokens = lex(src);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
-    let txt = |i: usize| -> &str {
-        match code.get(i) {
-            Some(t) => t.text(src),
-            None => "",
-        }
-    };
+/// `(name, line)` of each `pub` field of `struct MiningStats` in `file`.
+fn mining_stats_fields(file: &ParsedFile) -> Vec<(&str, u32)> {
+    let txt = |i: usize| file.txt(i);
     let mut fields = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if txt(i) == "struct" && txt(i + 1) == "MiningStats" && txt(i + 2) == "{" {
-            let mut depth: u32 = 1;
-            let mut j = i + 3;
-            while j < code.len() && depth > 0 {
-                match txt(j) {
-                    "{" => depth += 1,
-                    "}" => depth -= 1,
-                    "pub"
-                        if depth == 1
-                            && code.get(j + 1).is_some_and(|t| t.kind == TokenKind::Ident)
-                            && txt(j + 2) == ":"
-                            && txt(j + 3) != ":" =>
-                    {
-                        if let Some(t) = code.get(j + 1) {
-                            fields.push((t.text(src).to_string(), t.line));
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
+    let Some(i) = (0..file.code.len())
+        .find(|&i| txt(i) == "struct" && txt(i + 1) == "MiningStats" && txt(i + 2) == "{")
+    else {
+        return fields;
+    };
+    let mut depth: u32 = 1;
+    let mut j = i + 3;
+    while j < file.code.len() && depth > 0 {
+        match txt(j) {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            "pub"
+                if depth == 1
+                    && file.kind(j + 1) == Some(TokenKind::Ident)
+                    && txt(j + 2) == ":"
+                    && txt(j + 3) != ":" =>
+            {
+                fields.push((txt(j + 1), file.line(j + 1)));
             }
-            break;
+            _ => {}
         }
-        i += 1;
+        j += 1;
     }
     fields
 }

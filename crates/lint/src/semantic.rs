@@ -2,7 +2,7 @@
 //! against the inferred effect table ([`crate::effects`]).
 //!
 //! These run over the whole parsed workspace at once (unlike the per-file
-//! lexical rules in [`crate::rules`]). The effect-query rules come in two
+//! rules in [`crate::rules`] and [`crate::dataflow`]). The effect-query rules come in two
 //! finding shapes, which is what keeps suppression site-granular:
 //!
 //! * **source-site** findings — an *unsanctioned* intrinsic site (a stray
@@ -34,45 +34,67 @@ pub const TARGET_ENUMS: &[&str] = &["CountingStrategy", "Parallelism", "Algorith
 /// Rule: transitive-panic-reachability.
 ///
 /// An effect query: entry points are all non-test fns defined in kernel
-/// files; every unsanctioned intrinsic `Panics` site in a *non*-kernel fn
-/// reachable from an entry point is flagged with its minimal witness chain
-/// (panic sites inside kernel files themselves are the lexical rule's
-/// domain — reporting them here too would double-count every finding).
-/// `absorb(path, line)` is consulted per panic site; returning `true`
-/// (a valid suppression covers the site) silences it.
+/// files; every intrinsic `Panics` site in a fn reachable from an entry
+/// point — the kernel fns themselves included — is flagged with its minimal
+/// witness chain. Slice indexing in a kernel fn that states no
+/// `debug_assert!` invariant is flagged too: a panic the effect lattice
+/// does not model, so it is checked in the kernel fn only.
 pub fn transitive_panic(
     files: &[ParsedFile],
     graph: &CallGraph,
     fx: &EffectTable,
-    mut absorb: impl FnMut(&str, u32) -> bool,
 ) -> Vec<Violation> {
     let entries = graph.nodes_where(|fi, _| rules::is_kernel_path(&files[fi].path));
     let parents = graph.reachable_with_parents(&entries);
     let mut out = Vec::new();
     for site in fx.sites.iter().filter(|s| s.effect == Effect::Panics) {
-        if !parents.contains_key(&site.node) {
+        let Some(&parent) = parents.get(&site.node) else {
             continue;
-        }
+        };
         let (fi, gi) = graph.nodes[site.node];
-        let file = &files[fi];
-        if rules::is_kernel_path(&file.path) {
-            continue;
-        }
-        if absorb(&file.path, site.line) {
-            continue;
-        }
+        let name = &files[fi].fns[gi].name;
         let chain = graph.chain(files, &parents, site.node);
+        let message = if parent == site.node {
+            format!(
+                "{} in kernel fn `{name}`; use match/if-let or `unwrap_or*`, or \
+                 suppress at this site with a justification if the branch is \
+                 provably unreachable",
+                site.what
+            )
+        } else {
+            format!(
+                "{} in `{name}` is reachable from kernel code ({chain}); \
+                 restructure, or suppress at this site with a justification",
+                site.what
+            )
+        };
         out.push(Violation {
-            path: file.path.clone(),
+            path: files[fi].path.clone(),
             line: site.line,
             rule: rules::TRANSITIVE_PANIC_REACHABILITY,
-            message: format!(
-                "{} in `{}` is reachable from kernel code ({chain}); \
-                 restructure, or suppress at this site with a justification",
-                site.what, file.fns[gi].name
-            ),
-            chain: Some(chain.clone()),
+            message,
+            chain: Some(chain),
         });
+    }
+    for &n in &entries {
+        let (fi, gi) = graph.nodes[n];
+        let f = &files[fi].fns[gi];
+        if !f.debug_asserts.is_empty() {
+            continue;
+        }
+        for &line in &f.indexes {
+            out.push(Violation {
+                path: files[fi].path.clone(),
+                line,
+                rule: rules::TRANSITIVE_PANIC_REACHABILITY,
+                message: format!(
+                    "slice indexing in kernel fn `{}` with no `debug_assert!` stating \
+                     the bound invariant; add one (or use `.get()`)",
+                    f.name
+                ),
+                chain: Some(f.name.clone()),
+            });
+        }
     }
     out
 }
@@ -383,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn transitive_chain_is_caught_and_kernel_sites_are_not_double_reported() {
+    fn transitive_chain_is_caught_and_kernel_sites_are_reported_once() {
         let (files, g, fx) = analyzed(&[
             (
                 "crates/core/src/counting.rs",
@@ -394,11 +416,20 @@ mod tests {
                 "pub fn helper() { x.unwrap(); }\n",
             ),
         ]);
-        let v = transitive_panic(&files, &g, &fx, |_, _| false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].path, "crates/core/src/helpers.rs");
-        assert!(v[0].message.contains("count_supports -> helper"));
-        assert_eq!(v[0].chain.as_deref(), Some("count_supports -> helper"));
+        let v = transitive_panic(&files, &g, &fx);
+        assert_eq!(v.len(), 2, "{v:?}");
+        let kernel = v
+            .iter()
+            .find(|v| v.path == "crates/core/src/counting.rs")
+            .unwrap();
+        assert!(kernel.message.contains("kernel fn `count_supports`"));
+        assert_eq!(kernel.chain.as_deref(), Some("count_supports"));
+        let helper = v
+            .iter()
+            .find(|v| v.path == "crates/core/src/helpers.rs")
+            .unwrap();
+        assert!(helper.message.contains("count_supports -> helper"));
+        assert_eq!(helper.chain.as_deref(), Some("count_supports -> helper"));
     }
 
     #[test]
@@ -413,25 +444,28 @@ mod tests {
                 "pub fn island() { x.unwrap(); }\n",
             ),
         ]);
-        assert!(transitive_panic(&files, &g, &fx, |_, _| false).is_empty());
+        assert!(transitive_panic(&files, &g, &fx).is_empty());
     }
 
     #[test]
-    fn absorbed_sites_are_silenced() {
+    fn unguarded_kernel_indexing_fires_and_a_debug_assert_guards_it() {
         let (files, g, fx) = analyzed(&[
-            ("crates/core/src/counting.rs", "pub fn k() { helper(); }\n"),
             (
-                "crates/core/src/helpers.rs",
-                "pub fn helper() { x.unwrap(); }\n",
+                "crates/core/src/counting.rs",
+                "pub fn bare(v: &[u32], i: usize) -> u32 { v[i] }\n\
+                 pub fn guarded(v: &[u32], i: usize) -> u32 {\n\
+                 debug_assert!(i < v.len());\n\
+                 v[i]\n\
+                 }\n",
+            ),
+            (
+                "crates/core/src/misc.rs",
+                "pub fn plain(v: &[u32]) -> u32 { v[0] }\n",
             ),
         ]);
-        let mut asked = Vec::new();
-        let v = transitive_panic(&files, &g, &fx, |p, l| {
-            asked.push((p.to_string(), l));
-            true
-        });
-        assert!(v.is_empty());
-        assert_eq!(asked.len(), 1);
+        let v = transitive_panic(&files, &g, &fx);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("slice indexing in kernel fn `bare`"));
     }
 
     #[test]

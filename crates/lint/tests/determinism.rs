@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 
 use seqpat_lint::dataflow;
 use seqpat_lint::engine::{self, Report};
+use seqpat_lint::parser::parse_file;
 use seqpat_lint::rules;
 
 fn fixture_root() -> PathBuf {
@@ -184,7 +185,8 @@ pub fn merge_delta(total: &mut [u64], partial: &[u64]) {
     }
 }
 "#;
-    let (violations, audits) = dataflow::reduction_audit("crates/core/src/agg.rs", src);
+    let (violations, audits) =
+        dataflow::reduction_audit(&parse_file("crates/core/src/agg.rs", src));
     assert_eq!(violations.len(), 1);
     assert!(violations[0].message.contains("`-=`"));
     assert_eq!(audits.len(), 1);
@@ -192,14 +194,14 @@ pub fn merge_delta(total: &mut [u64], partial: &[u64]) {
 
     // Non-reducer fn names are not audited at all.
     let plain = "pub fn apply_delta(t: &mut u64, p: u64) { *t -= p; }\n";
-    let (v2, a2) = dataflow::reduction_audit("crates/core/src/agg.rs", plain);
+    let (v2, a2) = dataflow::reduction_audit(&parse_file("crates/core/src/agg.rs", plain));
     assert!(v2.is_empty());
     assert!(a2.is_empty());
 }
 
 #[test]
 fn rule_filter_rejects_unknown_names_and_accepts_known_ones() {
-    let err = rules::parse_rule_filter("no-panic-in-kernels,not-a-rule")
+    let err = rules::parse_rule_filter("no-lossy-casts-in-kernels,not-a-rule")
         .expect_err("unknown names must be rejected");
     assert!(err.contains("not-a-rule"), "{err}");
     assert!(err.contains(rules::SHARED_MUTABLE_CAPTURE), "{err}");

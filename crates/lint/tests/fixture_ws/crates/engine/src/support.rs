@@ -1,5 +1,5 @@
-//! Helpers outside the kernel basenames: the lexical panic rule never
-//! looks here, so the seeded `unwrap` is reachable-kernel-panic or nothing.
+//! Helpers outside the kernel basenames: no kernel fn lives here, so the
+//! seeded `unwrap` surfaces only through the call graph from kernel code.
 
 pub fn resolve_support(xs: &[u32]) -> u64 {
     deep_lookup(xs)

@@ -1,27 +1,28 @@
 //! Fixture tests for every lint rule: seeded violations are caught, clean
-//! idioms are not, suppressions work, and the lexer-driven heuristics do
-//! not false-positive on tricky token streams.
+//! idioms are not, suppressions work, and the token-driven checks do not
+//! false-positive on tricky token streams.
 //!
-//! Fixtures are inline strings analyzed under fake workspace paths — this
+//! Fixtures are inline strings linted under fake workspace paths — this
 //! file lives under `tests/`, which the real lint run whole-file-exempts,
 //! so the seeded violations below never show up in `seqpat-lint` output.
 
 use seqpat_lint::dataflow;
-use seqpat_lint::engine::{lint_source, to_json, Report};
-use seqpat_lint::rules::{self, analyze_file, stats_coverage};
+use seqpat_lint::engine::{lint_source, lint_sources, to_json, Report};
+use seqpat_lint::parser::parse_file;
+use seqpat_lint::rules;
 
 const KERNEL: &str = "crates/core/src/counting.rs";
 const NON_KERNEL: &str = "crates/core/src/miner.rs";
 
 /// Distinct rule names fired on `src` at `path`.
 fn fired(path: &str, src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = analyze_file(path, src).iter().map(|v| v.rule).collect();
+    let mut rules: Vec<&'static str> = lint_source(path, src).0.iter().map(|v| v.rule).collect();
     rules.sort_unstable();
     rules.dedup();
     rules
 }
 
-// ---- rule 1: no-panic-in-kernels -----------------------------------------
+// ---- transitive-panic-reachability in kernel files -----------------------
 
 #[test]
 fn unwrap_and_expect_fire_only_in_kernel_files() {
@@ -32,7 +33,10 @@ fn f(v: &[u32]) -> u32 {
     a + b
 }
 "#;
-    assert_eq!(fired(KERNEL, src), vec![rules::NO_PANIC_IN_KERNELS]);
+    assert_eq!(
+        fired(KERNEL, src),
+        vec![rules::TRANSITIVE_PANIC_REACHABILITY]
+    );
     assert!(fired(NON_KERNEL, src).is_empty());
 }
 
@@ -47,7 +51,7 @@ fn panic_family_macros_fire() {
         let src = format!("fn f() {{ {mac}; }}\n");
         assert_eq!(
             fired(KERNEL, &src),
-            vec![rules::NO_PANIC_IN_KERNELS],
+            vec![rules::TRANSITIVE_PANIC_REACHABILITY],
             "{mac}"
         );
     }
@@ -56,7 +60,10 @@ fn panic_family_macros_fire() {
 #[test]
 fn slice_indexing_needs_a_debug_assert_in_the_fn() {
     let bare = "fn f(v: &[u32], i: usize) -> u32 { v[i] }\n";
-    assert_eq!(fired(KERNEL, bare), vec![rules::NO_PANIC_IN_KERNELS]);
+    assert_eq!(
+        fired(KERNEL, bare),
+        vec![rules::TRANSITIVE_PANIC_REACHABILITY]
+    );
 
     let guarded = r#"
 fn f(v: &[u32], i: usize) -> u32 {
@@ -65,6 +72,40 @@ fn f(v: &[u32], i: usize) -> u32 {
 }
 "#;
     assert!(fired(KERNEL, guarded).is_empty());
+}
+
+#[test]
+fn a_kernel_unwrap_is_one_finding_under_the_transitive_rule() {
+    let src = "fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n";
+    let (kept, suppressed) = lint_source(KERNEL, src);
+    assert_eq!(suppressed, 0);
+    assert_eq!(kept.len(), 1, "{kept:?}");
+    assert_eq!(kept[0].rule, rules::TRANSITIVE_PANIC_REACHABILITY);
+    assert_eq!(kept[0].line, 2);
+}
+
+#[test]
+fn a_long_signature_does_not_hide_the_debug_assert_guard() {
+    // Past 400 signature tokens the body and its guard are still found.
+    let params: Vec<String> = (0..110).map(|k| format!("p{k}: u32")).collect();
+    let src = format!(
+        "fn f(v: &[u32], i: usize, {}) -> u32 {{\n    \
+         debug_assert!(i < v.len(), \"index in range\");\n    v[i]\n}}\n",
+        params.join(", ")
+    );
+    assert!(
+        fired(KERNEL, &src).is_empty(),
+        "{:?}",
+        lint_source(KERNEL, &src)
+    );
+    let bare = format!(
+        "fn f(v: &[u32], i: usize, {}) -> u32 {{ v[i] }}\n",
+        params.join(", ")
+    );
+    assert_eq!(
+        fired(KERNEL, &bare),
+        vec![rules::TRANSITIVE_PANIC_REACHABILITY]
+    );
 }
 
 #[test]
@@ -85,7 +126,7 @@ mod tests {
 
 /// Distinct rule names fired by the iteration-flow analysis on `src`.
 fn flow_fired(src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = dataflow::flow_violations(NON_KERNEL, src)
+    let mut rules: Vec<&'static str> = dataflow::flow_violations(&parse_file(NON_KERNEL, src))
         .iter()
         .map(|v| v.rule)
         .collect();
@@ -106,7 +147,7 @@ fn f(m: &HashMap<u32, u32>) -> Vec<u32> {
     out
 }
 "#;
-    let hits = dataflow::flow_violations(NON_KERNEL, src);
+    let hits = dataflow::flow_violations(&parse_file(NON_KERNEL, src));
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(hits[0].rule, rules::NONDET_ITERATION_FLOW);
     let chain = hits[0]
@@ -181,7 +222,7 @@ fn f(m: &HashMap<u32, f64>, acc: f64) -> f64 {
 "#;
     // The shadowing `let mut acc = acc;` keeps `acc` float-typed via the
     // param; the += of the tainted loop binder is the sink.
-    let hits = dataflow::flow_violations(NON_KERNEL, src);
+    let hits = dataflow::flow_violations(&parse_file(NON_KERNEL, src));
     assert!(
         hits.iter()
             .any(|v| v.message.contains("float accumulation")),
@@ -240,15 +281,13 @@ fn f(n: usize, m: u64) {
     assert!(fired(KERNEL, inside_assert).is_empty());
 }
 
-// ---- rule 4: no-wall-clock-outside-stats ---------------------------------
+// ---- no-wall-clock-in-kernels --------------------------------------------
 
 #[test]
-fn instant_fires_outside_stats_bench_and_cli() {
+fn instant_fires_in_kernel_files_only() {
     let src = "use std::time::Instant;\nfn f() -> Instant { Instant::now() }\n";
-    assert_eq!(
-        fired(NON_KERNEL, src),
-        vec![rules::NO_WALL_CLOCK_OUTSIDE_STATS]
-    );
+    assert_eq!(fired(KERNEL, src), vec![rules::NO_WALL_CLOCK_IN_KERNELS]);
+    assert!(fired(NON_KERNEL, src).is_empty());
     assert!(fired("crates/core/src/stats.rs", src).is_empty());
     assert!(fired("crates/itemset/src/stats.rs", src).is_empty());
     assert!(fired("crates/bench/src/harness.rs", src).is_empty());
@@ -258,13 +297,21 @@ fn instant_fires_outside_stats_bench_and_cli() {
 #[test]
 fn system_time_fires_too() {
     let src = "fn f() { let _ = std::time::SystemTime::now(); }\n";
-    assert_eq!(
-        fired(NON_KERNEL, src),
-        vec![rules::NO_WALL_CLOCK_OUTSIDE_STATS]
-    );
+    assert_eq!(fired(KERNEL, src), vec![rules::NO_WALL_CLOCK_IN_KERNELS]);
+    assert!(fired(NON_KERNEL, src).is_empty());
 }
 
-// ---- rule 5: stats-coverage ----------------------------------------------
+// ---- stats-coverage --------------------------------------------------------
+
+/// Lints a `MiningStats` definition beside a CLI printer.
+fn stats_findings(stats: &str, cli: &str) -> Vec<rules::Violation> {
+    let inputs = [
+        ("crates/core/src/stats.rs".to_string(), stats.to_string()),
+        ("crates/cli/src/main.rs".to_string(), cli.to_string()),
+    ];
+    let (violations, ..) = lint_sources(&inputs);
+    violations
+}
 
 #[test]
 fn unprinted_stats_fields_are_reported() {
@@ -279,7 +326,7 @@ fn print_stats(s: &MiningStats) {
     eprintln!("{}", s.covered_time);
 }
 "#;
-    let violations = stats_coverage("crates/core/src/stats.rs", stats, cli);
+    let violations = stats_findings(stats, cli);
     assert_eq!(violations.len(), 1);
     assert_eq!(violations[0].rule, rules::STATS_COVERAGE);
     assert!(violations[0].message.contains("missing_count"));
@@ -289,7 +336,7 @@ fn print_stats(s: &MiningStats) {
 fn fully_printed_stats_are_clean() {
     let stats = "pub struct MiningStats {\n    pub a: u64,\n    pub b: u64,\n}\n";
     let cli = "fn p(s: &MiningStats) { eprintln!(\"{} {}\", s.a, s.b); }\n";
-    assert!(stats_coverage("crates/core/src/stats.rs", stats, cli).is_empty());
+    assert!(stats_findings(stats, cli).is_empty());
 }
 
 // ---- suppressions --------------------------------------------------------
@@ -298,7 +345,7 @@ fn fully_printed_stats_are_clean() {
 fn justified_suppression_on_previous_line_silences_the_finding() {
     let src = r#"
 fn f(v: &[u32]) -> u32 {
-    // seqpat-lint: allow(no-panic-in-kernels) the caller guarantees v is non-empty
+    // seqpat-lint: allow(transitive-panic-reachability) the caller guarantees v is non-empty
     v.first().unwrap()
 }
 "#;
@@ -309,7 +356,7 @@ fn f(v: &[u32]) -> u32 {
 
 #[test]
 fn same_line_suppression_works() {
-    let src = "fn f(v: &[u32]) -> u32 { v.first().unwrap() } // seqpat-lint: allow(no-panic-in-kernels) fixture site\n";
+    let src = "fn f(v: &[u32]) -> u32 { v.first().unwrap() } // seqpat-lint: allow(transitive-panic-reachability) fixture site\n";
     let (kept, suppressed) = lint_source(KERNEL, src);
     assert!(kept.is_empty(), "kept: {kept:?}");
     assert_eq!(suppressed, 1);
@@ -319,7 +366,7 @@ fn same_line_suppression_works() {
 fn suppression_does_not_leak_past_the_next_line() {
     let src = r#"
 fn f(v: &[u32]) -> u32 {
-    // seqpat-lint: allow(no-panic-in-kernels) only the next line is covered
+    // seqpat-lint: allow(transitive-panic-reachability) only the next line is covered
     let a = v.first().unwrap();
 
     let b = v.last().unwrap();
@@ -329,14 +376,14 @@ fn f(v: &[u32]) -> u32 {
     let (kept, suppressed) = lint_source(KERNEL, src);
     assert_eq!(suppressed, 1);
     assert_eq!(kept.len(), 1);
-    assert_eq!(kept[0].rule, rules::NO_PANIC_IN_KERNELS);
+    assert_eq!(kept[0].rule, rules::TRANSITIVE_PANIC_REACHABILITY);
 }
 
 #[test]
 fn unjustified_suppression_is_a_meta_violation_and_does_not_suppress() {
     let src = r#"
 fn f(v: &[u32]) -> u32 {
-    // seqpat-lint: allow(no-panic-in-kernels)
+    // seqpat-lint: allow(transitive-panic-reachability)
     v.first().unwrap()
 }
 "#;
@@ -344,7 +391,7 @@ fn f(v: &[u32]) -> u32 {
     assert_eq!(suppressed, 0);
     let rule_names: Vec<&str> = kept.iter().map(|v| v.rule).collect();
     assert!(rule_names.contains(&rules::SUPPRESSION));
-    assert!(rule_names.contains(&rules::NO_PANIC_IN_KERNELS));
+    assert!(rule_names.contains(&rules::TRANSITIVE_PANIC_REACHABILITY));
 }
 
 #[test]
@@ -357,10 +404,25 @@ fn unknown_rule_in_suppression_is_a_meta_violation() {
 }
 
 #[test]
+fn retired_rule_names_in_suppressions_are_unknown() {
+    for retired in ["no-panic-in-kernels", "no-wall-clock-outside-stats"] {
+        let src = format!("// seqpat-lint: allow({retired}) an old allow-comment\nfn f() {{}}\n");
+        let (kept, _) = lint_source(KERNEL, &src);
+        assert_eq!(kept.len(), 1, "{kept:?}");
+        assert_eq!(kept[0].rule, rules::SUPPRESSION);
+        assert!(
+            kept[0].message.contains("unknown rule"),
+            "{}",
+            kept[0].message
+        );
+    }
+}
+
+#[test]
 fn wrong_rule_name_does_not_suppress_a_different_finding() {
     let src = r#"
 fn f(n: usize) -> u32 {
-    // seqpat-lint: allow(no-panic-in-kernels) names the wrong rule for a cast
+    // seqpat-lint: allow(transitive-panic-reachability) names the wrong rule for a cast
     n as u32
 }
 "#;
@@ -426,7 +488,7 @@ fn nested_block_comments_hide_their_contents() {
 #[test]
 fn json_output_escapes_and_counts() {
     let report = Report {
-        violations: analyze_file(KERNEL, "fn f() { panic!(\"quoted \\\"x\\\"\"); }\n"),
+        violations: lint_source(KERNEL, "fn f() { panic!(\"quoted \\\"x\\\"\"); }\n").0,
         suppressed: 2,
         files_scanned: 1,
         effects_json: String::new(),
@@ -435,6 +497,6 @@ fn json_output_escapes_and_counts() {
     let json = to_json(&report);
     assert!(json.contains("\"violation_count\": 1"));
     assert!(json.contains("\"suppressed\": 2"));
-    assert!(json.contains("\"rule\": \"no-panic-in-kernels\""));
+    assert!(json.contains("\"rule\": \"transitive-panic-reachability\""));
     assert!(json.contains("\"line\": 1"));
 }

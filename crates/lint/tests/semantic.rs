@@ -73,9 +73,9 @@ fn transitive_panic_fires_through_reexport_and_alias_chain() {
         hop.message
     );
     assert_eq!(hop.chain.as_deref(), Some("count_hopped -> via -> finish"));
-    // The unwraps are NOT in kernel files, so the lexical rule stays
-    // silent: only the call graph can see these findings.
-    assert!(rule_hits(&report, rules::NO_PANIC_IN_KERNELS).is_empty());
+    // The unwraps are NOT in kernel files: only the call graph can see
+    // these findings.
+    assert!(hits.iter().all(|v| !rules::is_kernel_path(&v.path)));
 }
 
 #[test]

@@ -36,7 +36,6 @@ fn main() {
         Algorithm::DynamicSome { step: 2 },
     ] {
         let config = MinerConfig::new(MinSupport::Fraction(minsup)).algorithm(algorithm);
-        // seqpat-lint: allow(no-wall-clock-outside-stats) the demo prints its own end-to-end timing for the README walkthrough
         let start = std::time::Instant::now();
         let result = Miner::new(config).mine(&db);
         println!(

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> seqpat-lint (lexical + effect-inference + determinism rules; fails on deny severity)"
+echo "==> seqpat-lint (per-file + effect-inference + determinism rules; fails on deny severity)"
 mkdir -p target/ci-results
 # Emit all report formats before gating so the artifacts exist even when
 # the lint fails; the exit code is nonzero iff a deny-severity rule fired
@@ -74,6 +74,16 @@ cargo run --release -q -p seqpat-cli -- mine \
 # Guard against a vacuous pass: an empty pattern list would diff clean.
 [ -s "$smoke/mem.txt" ] || { echo "shard smoke: no patterns mined" >&2; exit 1; }
 diff "$smoke/mem.txt" "$smoke/mmap.txt"
+# A misspelled flag and a flag the algorithm ignores are usage errors, not
+# silently different runs.
+for bad in "--strategi vertical" "--step 3"; do
+  # $bad stays unquoted: it holds a flag and its value.
+  if cargo run --release -q -p seqpat-cli -- mine \
+    --in "$smoke/tiny.spmf" --minsup 0.05 $bad > /dev/null 2>&1; then
+    echo "shard smoke: mine accepted '$bad'" >&2
+    exit 1
+  fi
+done
 # Unsharded over the store: pass 2 (which also decides Auto) and the later
 # passes must all read one decoded copy of the table, so --stats reports
 # one load.
