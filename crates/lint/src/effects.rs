@@ -222,7 +222,7 @@ pub fn infer(files: &[ParsedFile], graph: &CallGraph) -> EffectTable {
                 sanctioned,
             });
         };
-        for p in &f.panics {
+        for p in &f.sites.panics {
             add(Effect::Panics, p.line, p.what.clone());
         }
         for a in &f.allocs {

@@ -3,11 +3,14 @@
 //!
 //! [`parse_file`] lexes a file once and keeps everything the later stages
 //! read: the token stream (comments included, for the suppression scanner),
-//! the `#[cfg(test)]` spans, and an item-level view — functions (signature
-//! and body spans, `debug_assert!` interiors, and the calls, panic
-//! constructs, allocation sites, `match` expressions, casts, RNG
+//! the `#[cfg(test)]` spans, the `debug_assert!` interiors, and an
+//! item-level view — functions (signature and body spans, and the calls,
+//! panic constructs, allocation sites, `match` expressions, casts, RNG
 //! constructions, and indexing inside their bodies), enum declarations, and
-//! `use … as …` aliases. This is not a full Rust parser — it recognizes
+//! `use … as …` aliases. Code outside every analysed fn body (item
+//! initialisers, item macros, `macro_rules!` bodies, signatures) gets the
+//! same panic, cast, RNG and indexing scan as a body, into a file-level
+//! [`Sites`]. This is not a full Rust parser — it recognizes
 //! exactly the item structure the rules need (modules, impls, traits, fns,
 //! enums, use-trees) and skips everything else by balanced-delimiter
 //! matching, so unknown syntax degrades to "no facts extracted" rather than
@@ -37,8 +40,16 @@ pub struct ParsedFile {
     pub(crate) tokens: Vec<Token>,
     /// Indices into `tokens` of the code (non-comment) tokens.
     pub(crate) code: Vec<usize>,
-    /// Byte spans of items gated by `#[cfg(test)]` or marked `#[test]`.
+    /// Byte spans of items gated by exactly `#[cfg(test)]`.
     pub(crate) test_spans: Vec<(usize, usize)>,
+    /// `debug_assert*!(…)` invocations, from the macro name to its closing
+    /// delimiter inclusive. Every site scan skips them.
+    debug_asserts: Vec<(usize, usize)>,
+    /// Every fn body, nested ones included: its interior and whether it
+    /// states a `debug_assert!` invariant.
+    fn_bodies: Vec<(usize, usize, bool)>,
+    /// Sites in non-test code outside every analysed fn body.
+    pub loose: Sites,
     /// Every `fn` item found, in source order (tests included, flagged).
     pub fns: Vec<FnDef>,
     /// Every `enum` declaration found.
@@ -58,6 +69,23 @@ pub struct EnumDef {
     pub variants: Vec<String>,
 }
 
+/// Panic, cast, RNG-construction and unguarded-indexing sites of one fn
+/// body, or of a file's code outside its fn bodies. None of them enter the
+/// effect lattice except `panics`.
+#[derive(Debug, Default)]
+pub struct Sites {
+    /// Panic constructs (`.unwrap()`, `.expect()`, `panic!`-family macros).
+    pub panics: Vec<Construct>,
+    /// Bare `as <integer>` casts; `what` is the target type.
+    pub casts: Vec<Construct>,
+    /// RNG constructions (`thread_rng()`, `StdRng::seed_from_u64`, …);
+    /// `what` is the constructor name.
+    pub rngs: Vec<Construct>,
+    /// Lines of slice-indexing expressions (`v[i]`, `f(x)[0]`) whose
+    /// innermost enclosing fn body states no `debug_assert!`.
+    pub indexes: Vec<u32>,
+}
+
 /// One `fn` item and the facts extracted from its body. Test fns keep
 /// their spans but no body facts.
 #[derive(Debug)]
@@ -74,22 +102,12 @@ pub struct FnDef {
     pub(crate) sig: (usize, usize),
     /// Body interior; `None` for a declaration (trait method decls).
     pub(crate) body: Option<(usize, usize)>,
-    /// `debug_assert*!(…)` invocations in the body, from the macro name to
-    /// its closing delimiter inclusive. Every other body fact skips them.
-    pub(crate) debug_asserts: Vec<(usize, usize)>,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Panic constructs (`.unwrap()`, `.expect()`, `panic!`-family macros).
-    pub panics: Vec<Construct>,
+    /// Panic, cast, RNG and unguarded-indexing sites in the body.
+    pub sites: Sites,
     /// I/O macro invocations (`println!`-family).
     pub ios: Vec<Construct>,
-    /// Bare `as <integer>` casts; `what` is the target type.
-    pub casts: Vec<Construct>,
-    /// RNG constructions (`thread_rng()`, `StdRng::seed_from_u64`, …);
-    /// `what` is the constructor name.
-    pub rngs: Vec<Construct>,
-    /// Lines of slice-indexing expressions (`v[i]`, `f(x)[0]`).
-    pub indexes: Vec<u32>,
     /// Allocation sites in the body.
     pub allocs: Vec<AllocSite>,
     /// `match` expressions in the body.
@@ -362,12 +380,18 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
         tokens,
         code,
         test_spans: Vec::new(),
+        debug_asserts: Vec::new(),
+        fn_bodies: Vec::new(),
+        loose: Sites::default(),
         fns: Vec::new(),
         enums: Vec::new(),
         aliases: Vec::new(),
     };
     let end = file.code.len();
+    file.debug_asserts = file.debug_assert_spans();
+    file.fn_bodies = file.all_fn_bodies();
     file.items(0, end, false, None);
+    file.loose = file.loose_sites();
     file
 }
 
@@ -452,9 +476,11 @@ impl ParsedFile {
     fn items(&mut self, mut ci: usize, end: usize, in_test: bool, impl_type: Option<&str>) {
         while ci < end {
             let mut item_test = in_test;
+            let mut cfg_test = false;
             let item_start = ci;
             // Attributes (inner attributes are skipped; `#[test]` and
-            // `#[cfg(test)]` mark the following item as test code).
+            // exactly `#[cfg(test)]` mark the following item as test code,
+            // and only the latter gives it a test span).
             loop {
                 if self.txt(ci) == "#" && self.txt(ci + 1) == "!" && self.txt(ci + 2) == "[" {
                     ci = self.match_delim(ci + 2).map_or(end, |c| c + 1);
@@ -464,12 +490,14 @@ impl ParsedFile {
                     let Some(close) = self.match_delim(ci + 1) else {
                         return;
                     };
-                    let first = self.txt(ci + 2);
-                    if first == "test"
-                        || (first == "cfg" && (ci + 3..close).any(|k| self.txt(k) == "test"))
+                    if close == ci + 6
+                        && (ci + 2..close)
+                            .map(|k| self.txt(k))
+                            .eq(["cfg", "(", "test", ")"])
                     {
-                        item_test = true;
+                        cfg_test = true;
                     }
+                    item_test |= cfg_test || self.txt(ci + 2) == "test";
                     ci = close + 1;
                     continue;
                 }
@@ -554,27 +582,7 @@ impl ParsedFile {
                 }
                 "enum" => ci = self.item_enum(ci),
                 "use" => ci = self.item_use(ci),
-                "struct" | "union" | "static" | "type" | "const" => {
-                    // Skip to the terminating `;` or the end of a `{…}` body.
-                    let mut k = ci + 1;
-                    loop {
-                        match self.txt(k) {
-                            "" => return,
-                            ";" => {
-                                k += 1;
-                                break;
-                            }
-                            "{" => {
-                                k = self.match_delim(k).map_or(end, |c| c + 1);
-                                break;
-                            }
-                            "(" | "[" => k = self.match_delim(k).map_or(end, |c| c + 1),
-                            "<" => k = self.skip_angles(k),
-                            _ => k += 1,
-                        }
-                    }
-                    ci = k;
-                }
+                "struct" | "union" | "static" | "type" | "const" => ci = self.skip_item(ci),
                 "macro_rules" => {
                     // `macro_rules! name { … }` — skip the whole blob.
                     let mut k = ci + 1;
@@ -583,15 +591,73 @@ impl ParsedFile {
                     }
                     ci = self.match_delim(k).map_or(end, |c| c + 1);
                 }
+                // An unrecognised test item (an item macro) is skipped whole.
+                _ if item_test => ci = self.skip_item(ci),
                 _ => ci += 1,
             }
-            if item_test && !in_test {
+            if cfg_test && !in_test {
                 let start = self.tok(item_start).map_or(0, |t| t.start);
                 let last = ci.min(self.code.len()).saturating_sub(1);
                 let stop = self.tok(last).map_or(self.src.len(), |t| t.end);
                 self.test_spans.push((start, stop));
             }
         }
+    }
+
+    /// With `ci` at an item's first token, the index just past the item:
+    /// past its terminating `;` or the end of its `{…}` body.
+    fn skip_item(&self, ci: usize) -> usize {
+        let mut k = ci + 1;
+        loop {
+            match self.txt(k) {
+                "" => return k,
+                ";" => return k + 1,
+                "{" => return self.match_delim(k).map_or(self.code.len(), |c| c + 1),
+                "(" | "[" => k = self.match_delim(k).map_or(self.code.len(), |c| c + 1),
+                "<" => k = self.skip_angles(k),
+                _ => k += 1,
+            }
+        }
+    }
+
+    /// With `k` just past a fn name, the index of the body `{`, of the
+    /// declaration's `;`, or the end of the file.
+    fn sig_end(&self, mut k: usize) -> usize {
+        let mut depth: u32 = 0;
+        loop {
+            match self.txt(k) {
+                "" => return k,
+                ";" | "{" if depth == 0 => return k,
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "<" if depth == 0 => {
+                    k = self.skip_angles(k);
+                    continue;
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+    }
+
+    /// Every fn body in the file, nested ones included, with whether it
+    /// states a `debug_assert!` invariant.
+    fn all_fn_bodies(&self) -> Vec<(usize, usize, bool)> {
+        (0..self.code.len())
+            .filter(|&ci| self.txt(ci) == "fn" && self.kind(ci + 1) == Some(TokenKind::Ident))
+            .filter_map(|ci| {
+                let open = self.sig_end(ci + 2);
+                if self.txt(open) != "{" {
+                    return None;
+                }
+                let close = self.match_delim(open).unwrap_or(self.code.len());
+                let guarded = self
+                    .debug_asserts
+                    .iter()
+                    .any(|&(s, _)| s > open && s < close);
+                Some((open + 1, close, guarded))
+            })
+            .collect()
     }
 
     /// Parses a `fn` item with `ci` at the `fn` keyword; returns the index
@@ -606,49 +672,23 @@ impl ParsedFile {
             is_test,
             sig: (ci + 2, ci + 2),
             body: None,
-            debug_asserts: Vec::new(),
             calls: Vec::new(),
-            panics: Vec::new(),
+            sites: Sites::default(),
             ios: Vec::new(),
-            casts: Vec::new(),
-            rngs: Vec::new(),
-            indexes: Vec::new(),
             allocs: Vec::new(),
             matches: Vec::new(),
             params: Vec::new(),
             closures: Vec::new(),
         };
         def.params = self.fn_params(ci + 2);
-        // Scan the signature for the body `{` (or `;` for declarations).
-        let mut k = ci + 2;
-        let mut depth: u32 = 0;
-        let open = loop {
-            match self.txt(k) {
-                "" => {
-                    def.sig.1 = k;
-                    self.fns.push(def);
-                    return self.code.len();
-                }
-                ";" if depth == 0 => {
-                    def.sig.1 = k;
-                    self.fns.push(def);
-                    return k + 1;
-                }
-                "{" if depth == 0 => break k,
-                "(" | "[" => {
-                    depth += 1;
-                    k += 1;
-                }
-                ")" | "]" => {
-                    depth = depth.saturating_sub(1);
-                    k += 1;
-                }
-                "<" if depth == 0 => k = self.skip_angles(k),
-                _ => k += 1,
-            }
-        };
-        let close = self.match_delim(open).unwrap_or(self.code.len());
+        let open = self.sig_end(ci + 2);
         def.sig.1 = open;
+        if self.txt(open) != "{" {
+            // A declaration (`;`) or a signature running off the file.
+            self.fns.push(def);
+            return (open + 1).min(self.code.len());
+        }
+        let close = self.match_delim(open).unwrap_or(self.code.len());
         def.body = Some((open + 1, close));
         if !is_test {
             self.analyze_body(open + 1, close, &mut def);
@@ -736,9 +776,7 @@ impl ParsedFile {
     }
 
     /// Extracts the body facts of `def` from the code indices `[b0, b1)`.
-    fn analyze_body(&mut self, b0: usize, b1: usize, def: &mut FnDef) {
-        let da = self.debug_assert_spans(b0, b1);
-        let in_da = |ci: usize| da.iter().any(|&(s, e)| ci >= s && ci <= e);
+    fn analyze_body(&self, b0: usize, b1: usize, def: &mut FnDef) {
         let scopes = self.loop_scopes(b0, b1);
         // A scope is innermost when no other scope nests strictly inside it.
         let innermost: Vec<bool> = scopes
@@ -761,65 +799,28 @@ impl ParsedFile {
 
         let mut ci = b0;
         while ci < b1 {
-            if in_da(ci) {
+            if self.in_debug_assert(ci) {
+                ci += 1;
+                continue;
+            }
+            self.scan_site(ci, &mut def.sites);
+            if self.kind(ci) != Some(TokenKind::Ident) {
                 ci += 1;
                 continue;
             }
             let t = self.txt(ci);
             let line = self.line(ci);
             let prev = self.txt(ci.wrapping_sub(1));
-            if self.kind(ci) != Some(TokenKind::Ident) {
-                // `[` right after a value (an ident that is not a keyword,
-                // or a closing `)`/`]`/`?`) is an indexing expression.
-                let indexes = t == "["
-                    && match self.kind(ci.wrapping_sub(1)) {
-                        Some(TokenKind::Ident) => !NON_INDEX_KEYWORDS.contains(&prev),
-                        Some(TokenKind::Punct) => matches!(prev, ")" | "]" | "?"),
-                        _ => false,
-                    };
-                if indexes {
-                    def.indexes.push(line);
-                }
-                ci += 1;
-                continue;
-            }
             let after_dot = ci > b0 && prev == ".";
             let after_fn = ci > b0 && prev == "fn";
             let bang = self.txt(ci + 1) == "!";
-            let site = |what: String| Construct { line, what };
-
-            // Panic constructs.
-            if bang && PANIC_MACROS.contains(&t) {
-                def.panics.push(site(format!("`{t}!`")));
-            }
-            if after_dot && (t == "unwrap" || t == "expect") && self.txt(ci + 1) == "(" {
-                def.panics.push(site(format!("`.{t}()`")));
-            }
 
             // I/O macros.
             if bang && IO_MACROS.contains(&t) {
-                def.ios.push(site(format!("`{t}!`")));
-            }
-
-            // Bare integer casts.
-            if t == "as" && INT_TYPES.contains(&self.txt(ci + 1)) {
-                def.casts.push(site(self.txt(ci + 1).to_string()));
-            }
-
-            // RNG construction: a call `name(`, a path segment `::Name`, or
-            // a turbofish `Name::`, outside a `use` line.
-            if RNG_CONSTRUCTORS.contains(&t)
-                && (self.txt(ci + 1) == "("
-                    || (prev == ":" && self.txt(ci.wrapping_sub(2)) == ":")
-                    || (self.txt(ci + 1) == ":" && self.txt(ci + 2) == ":"))
-                && !(0..ci)
-                    .rev()
-                    .take(12)
-                    .map(|k| self.txt(k))
-                    .take_while(|s| *s != ";" && *s != "}")
-                    .any(|s| s == "use")
-            {
-                def.rngs.push(site(t.to_string()));
+                def.ios.push(Construct {
+                    line,
+                    what: format!("`{t}!`"),
+                });
             }
 
             // Allocation sites.
@@ -903,7 +904,87 @@ impl ParsedFile {
         }
 
         self.extract_closures(b0, b1, def);
-        def.debug_asserts = da;
+    }
+
+    /// True when code index `ci` lies inside a `debug_assert!` invocation.
+    fn in_debug_assert(&self, ci: usize) -> bool {
+        self.debug_asserts.iter().any(|&(s, e)| ci >= s && ci <= e)
+    }
+
+    /// Records the panic construct, bare integer cast, RNG construction or
+    /// unguarded slice indexing that starts at code index `ci`, if any.
+    fn scan_site(&self, ci: usize, sites: &mut Sites) {
+        let t = self.txt(ci);
+        let line = self.line(ci);
+        let prev = self.txt(ci.wrapping_sub(1));
+        let next = self.txt(ci + 1);
+        if self.kind(ci) != Some(TokenKind::Ident) {
+            // `[` right after a value (an ident that is not a keyword, or a
+            // closing `)`/`]`/`?`) is an indexing expression; it is guarded
+            // when its innermost fn body states a `debug_assert!`.
+            let indexes = t == "["
+                && match self.kind(ci.wrapping_sub(1)) {
+                    Some(TokenKind::Ident) => !NON_INDEX_KEYWORDS.contains(&prev),
+                    Some(TokenKind::Punct) => matches!(prev, ")" | "]" | "?"),
+                    _ => false,
+                };
+            let guarded = || {
+                self.fn_bodies
+                    .iter()
+                    .filter(|b| b.0 <= ci && ci < b.1)
+                    .max_by_key(|b| b.0)
+                    .is_some_and(|b| b.2)
+            };
+            if indexes && !guarded() {
+                sites.indexes.push(line);
+            }
+            return;
+        }
+        let site = |what: String| Construct { line, what };
+        if next == "!" && PANIC_MACROS.contains(&t) {
+            sites.panics.push(site(format!("`{t}!`")));
+        }
+        if prev == "." && (t == "unwrap" || t == "expect") && next == "(" {
+            sites.panics.push(site(format!("`.{t}()`")));
+        }
+        if t == "as" && INT_TYPES.contains(&next) {
+            sites.casts.push(site(next.to_string()));
+        }
+        // RNG construction: a call `name(`, a path segment `::Name`, or a
+        // turbofish `Name::`, outside a `use` line.
+        if RNG_CONSTRUCTORS.contains(&t)
+            && (next == "("
+                || (prev == ":" && self.txt(ci.wrapping_sub(2)) == ":")
+                || (next == ":" && self.txt(ci + 2) == ":"))
+            && !(0..ci)
+                .rev()
+                .take(12)
+                .map(|k| self.txt(k))
+                .take_while(|s| *s != ";" && *s != "}")
+                .any(|s| s == "use")
+        {
+            sites.rngs.push(site(t.to_string()));
+        }
+    }
+
+    /// The sites of non-test code outside every analysed fn body: item
+    /// initialisers, item macros, `macro_rules!` bodies, signatures, and
+    /// the bodies of `#[test]` fns no `#[cfg(test)]` gates.
+    fn loose_sites(&self) -> Sites {
+        let mut skip = vec![false; self.code.len()];
+        for f in self.fns.iter().filter(|f| !f.is_test) {
+            if let Some((b0, b1)) = f.body {
+                skip[b0..b1].fill(true);
+            }
+        }
+        let mut sites = Sites::default();
+        for (ci, &analysed) in skip.iter().enumerate() {
+            let in_test = self.tok(ci).is_some_and(|t| self.in_test(t.start));
+            if !analysed && !in_test && !self.in_debug_assert(ci) {
+                self.scan_site(ci, &mut sites);
+            }
+        }
+        sites
     }
 
     /// Parses the parameter list of a fn whose signature starts at `k`
@@ -1238,10 +1319,10 @@ impl ParsedFile {
         None
     }
 
-    /// `debug_assert*!(…)` interiors as inclusive code-index spans.
-    fn debug_assert_spans(&self, b0: usize, b1: usize) -> Vec<(usize, usize)> {
+    /// `debug_assert*!(…)` invocations as inclusive code-index spans.
+    fn debug_assert_spans(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        for ci in b0..b1 {
+        for ci in 0..self.code.len() {
             if self.kind(ci) == Some(TokenKind::Ident)
                 && self.txt(ci).starts_with("debug_assert")
                 && self.txt(ci + 1) == "!"
@@ -1601,10 +1682,10 @@ fn live() { x.unwrap(); }
         let f = parse_file("x.rs", src);
         let t = f.fns.iter().find(|g| g.name == "t").unwrap();
         assert!(t.is_test);
-        assert!(t.panics.is_empty());
+        assert!(t.sites.panics.is_empty());
         let live = f.fns.iter().find(|g| g.name == "live").unwrap();
         assert!(!live.is_test);
-        assert_eq!(live.panics.len(), 1);
+        assert_eq!(live.sites.panics.len(), 1);
     }
 
     #[test]
@@ -1715,14 +1796,14 @@ fn f() {
     fn panic_in_a_path_is_not_a_panic_macro() {
         let src = "fn f(p: Box<dyn std::any::Any>) { std::panic::resume_unwind(p); }\n";
         let f = parse_file("x.rs", src);
-        assert!(f.fns[0].panics.is_empty());
+        assert!(f.fns[0].sites.panics.is_empty());
     }
 
     #[test]
     fn debug_assert_interiors_are_skipped() {
         let src = "fn f(v: &[u32]) { debug_assert!(v.first().unwrap() < &10); }\n";
         let f = parse_file("x.rs", src);
-        assert!(f.fns[0].panics.is_empty());
+        assert!(f.fns[0].sites.panics.is_empty());
     }
 
     #[test]
@@ -1820,18 +1901,40 @@ fn f(n: u32) -> u32 {
     }
 
     #[test]
-    fn test_items_are_byte_spans() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n#[test]\nfn u() {}\n";
+    fn test_spans_are_exactly_the_cfg_test_items() {
+        let src = r#"fn live() {}
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+#[test]
+fn u() {}
+#[cfg(not(test))]
+fn prod() {}
+#[cfg(any(test, feature = "x"))]
+fn either() {}
+#[cfg(test)]
+thread_local! { static N: u32 = 0; }
+fn after() {}
+"#;
         let f = parse_file("x.rs", src);
         let spans: Vec<&str> = f.test_spans.iter().map(|&(s, e)| &src[s..e]).collect();
         assert_eq!(
             spans,
             vec![
                 "#[cfg(test)]\nmod tests {\n    fn t() {}\n}",
-                "#[test]\nfn u() {}"
+                "#[cfg(test)]\nthread_local! { static N: u32 = 0; }"
             ]
         );
         assert!(!f.in_test(src.find("live").unwrap()));
+        let test_fns: Vec<&str> = f
+            .fns
+            .iter()
+            .filter(|g| g.is_test)
+            .map(|g| g.name.as_str())
+            .collect();
+        assert_eq!(test_fns, vec!["t", "u"]);
+        assert!(f.fns.iter().any(|g| g.name == "after"));
     }
 
     #[test]
@@ -1842,23 +1945,53 @@ fn f(v: &[u32], n: usize) -> u32 {
     let mut rng = thread_rng();
     let x = n as u32 + (n as f64) as u32;
     debug_assert!(v[0] as usize == n);
+    fn inner(v: &[u32]) -> u32 { v[1] }
     v[n] + [1u32, 2][0]
+}
+fn g(v: &[u32]) -> u32 {
+    v[2] + [1u32, 2][0]
 }
 "#;
         let f = parse_file("x.rs", src);
-        let g = &f.fns[0];
-        assert_eq!(g.rngs.len(), 1);
-        assert_eq!(g.rngs[0].line, 4);
-        let casts: Vec<&str> = g.casts.iter().map(|c| c.what.as_str()).collect();
+        let s = &f.fns[0].sites;
+        assert_eq!(s.rngs.len(), 1);
+        assert_eq!(s.rngs[0].line, 4);
+        let casts: Vec<&str> = s.casts.iter().map(|c| c.what.as_str()).collect();
         assert_eq!(casts, vec!["u32", "u32"]);
-        // `v[n]` and the literal's `[0]`; the array literal and the
-        // debug_assert interior are not indexing sites.
-        assert_eq!(g.indexes, vec![7, 7]);
-        assert_eq!(g.debug_asserts.len(), 1);
+        // The debug_assert guards `f`'s own indexing but not that of the
+        // nested fn, whose body states none; the debug_assert interior is
+        // not scanned at all.
+        assert_eq!(s.indexes, vec![7]);
+        // `v[2]` and the literal's `[0]`; the array literal is no index.
+        assert_eq!(f.fns[1].sites.indexes, vec![11, 11]);
     }
 
     #[test]
-    fn macro_rules_bodies_are_skipped_entirely() {
+    fn code_outside_fn_bodies_is_scanned_into_loose_sites() {
+        let src = r#"
+const M: u32 = N as u32;
+static R: LazyLock<u32> = LazyLock::new(|| S.parse().unwrap());
+thread_local! { static RNG: RefCell<ThreadRng> = RefCell::new(thread_rng()); }
+macro_rules! m {
+    ($x:expr) => { $x.unwrap() };
+}
+const T: u32 = TABLE[3];
+fn f() -> u32 { 1 as u32 }
+#[cfg(test)]
+const U: u32 = N as u32;
+"#;
+        let f = parse_file("x.rs", src);
+        let l = &f.loose;
+        let lines = |c: &[Construct]| c.iter().map(|c| c.line).collect::<Vec<_>>();
+        assert_eq!(lines(&l.casts), vec![2]);
+        assert_eq!(lines(&l.panics), vec![3, 6]);
+        assert_eq!(lines(&l.rngs), vec![4]);
+        assert_eq!(l.indexes, vec![8]);
+        assert_eq!(f.fns[0].sites.casts.len(), 1);
+    }
+
+    #[test]
+    fn macro_rules_bodies_hold_no_fns() {
         let src = r#"
 macro_rules! m {
     ($x:expr) => { $x.unwrap() };
@@ -1867,6 +2000,6 @@ fn f() {}
 "#;
         let f = parse_file("x.rs", src);
         assert_eq!(f.fns.len(), 1);
-        assert!(f.fns[0].panics.is_empty());
+        assert!(f.fns[0].sites.panics.is_empty());
     }
 }

@@ -416,9 +416,9 @@ pub fn file_rules(file: &ParsedFile) -> Vec<Violation> {
     let kernel = is_kernel_path(&file.path);
     let random_ok = is_random_sanctioned_path(&file.path);
     let mut found: Vec<(&'static str, u32, String)> = Vec::new();
-    for f in &file.fns {
+    for sites in file.fns.iter().map(|f| &f.sites).chain([&file.loose]) {
         if kernel {
-            for c in &f.casts {
+            for c in &sites.casts {
                 found.push((
                     NO_LOSSY_CASTS_IN_KERNELS,
                     c.line,
@@ -431,7 +431,7 @@ pub fn file_rules(file: &ParsedFile) -> Vec<Violation> {
             }
         }
         if !random_ok {
-            for r in &f.rngs {
+            for r in &sites.rngs {
                 found.push((
                     UNSEEDED_RANDOMNESS,
                     r.line,

@@ -38,7 +38,9 @@ pub const TARGET_ENUMS: &[&str] = &["CountingStrategy", "Parallelism", "Algorith
 /// point — the kernel fns themselves included — is flagged with its minimal
 /// witness chain. Slice indexing in a kernel fn that states no
 /// `debug_assert!` invariant is flagged too: a panic the effect lattice
-/// does not model, so it is checked in the kernel fn only.
+/// does not model, so it is checked in the kernel fn only. Kernel-file code
+/// outside every fn body (a `static` initialiser, an item macro) reaches
+/// no call graph; its panic and indexing sites are flagged where they are.
 pub fn transitive_panic(
     files: &[ParsedFile],
     graph: &CallGraph,
@@ -76,23 +78,42 @@ pub fn transitive_panic(
             chain: Some(chain),
         });
     }
+    let indexing = "with no `debug_assert!` stating the bound invariant; add one \
+                    (or use `.get()`)";
     for &n in &entries {
         let (fi, gi) = graph.nodes[n];
         let f = &files[fi].fns[gi];
-        if !f.debug_asserts.is_empty() {
-            continue;
-        }
-        for &line in &f.indexes {
+        for &line in &f.sites.indexes {
             out.push(Violation {
                 path: files[fi].path.clone(),
                 line,
                 rule: rules::TRANSITIVE_PANIC_REACHABILITY,
-                message: format!(
-                    "slice indexing in kernel fn `{}` with no `debug_assert!` stating \
-                     the bound invariant; add one (or use `.get()`)",
-                    f.name
-                ),
+                message: format!("slice indexing in kernel fn `{}` {indexing}", f.name),
                 chain: Some(f.name.clone()),
+            });
+        }
+    }
+    for file in files.iter().filter(|f| rules::is_kernel_path(&f.path)) {
+        let loose = &file.loose;
+        let panics = loose.panics.iter().map(|p| {
+            let message = format!(
+                "{} in kernel-file code outside the call graph; use match/if-let or \
+                 `unwrap_or*`, or suppress at this site with a justification",
+                p.what
+            );
+            (p.line, message)
+        });
+        let indexes = loose.indexes.iter().map(|&line| {
+            let message = format!("slice indexing in kernel-file code {indexing}");
+            (line, message)
+        });
+        for (line, message) in panics.chain(indexes) {
+            out.push(Violation {
+                path: file.path.clone(),
+                line,
+                rule: rules::TRANSITIVE_PANIC_REACHABILITY,
+                message,
+                chain: None,
             });
         }
     }

@@ -122,6 +122,67 @@ mod tests {
     assert!(fired("crates/core/src/proptests.rs", loose).is_empty());
 }
 
+/// `(line, rule)` of every finding on `src` at `path`.
+fn hits(path: &str, src: &str) -> Vec<(u32, &'static str)> {
+    lint_source(path, src)
+        .0
+        .iter()
+        .map(|v| (v.line, v.rule))
+        .collect()
+}
+
+#[test]
+fn item_initializers_and_item_macros_are_checked() {
+    let src = r#"
+const M: u32 = N as u32;
+static R: LazyLock<u32> = LazyLock::new(|| S.parse().unwrap());
+const T: u32 = TABLE[3];
+"#;
+    assert_eq!(
+        hits(KERNEL, src),
+        vec![
+            (2, rules::NO_LOSSY_CASTS_IN_KERNELS),
+            (3, rules::TRANSITIVE_PANIC_REACHABILITY),
+            (4, rules::TRANSITIVE_PANIC_REACHABILITY),
+        ]
+    );
+    let rng =
+        "thread_local! {\n    static RNG: RefCell<ThreadRng> = RefCell::new(thread_rng());\n}\n";
+    assert_eq!(hits(NON_KERNEL, rng), vec![(2, rules::UNSEEDED_RANDOMNESS)]);
+    assert!(fired("crates/datagen/src/gen.rs", rng).is_empty());
+    assert!(fired(NON_KERNEL, &format!("#[cfg(test)]\n{rng}")).is_empty());
+}
+
+#[test]
+fn only_exactly_cfg_test_is_test_code() {
+    for cfg in ["not(test)", "any(test, feature = \"x\")"] {
+        let src = format!("#[cfg({cfg})]\nfn f(n: usize) -> u32 {{\n    n as u32\n}}\n");
+        assert_eq!(
+            hits(KERNEL, &src),
+            vec![(3, rules::NO_LOSSY_CASTS_IN_KERNELS)],
+            "{cfg}"
+        );
+    }
+}
+
+#[test]
+fn a_site_pushed_out_of_its_fn_by_a_mislexed_char_is_still_found() {
+    // The lexer reads `'—` as a lifetime, so the next quote opens a char
+    // literal that swallows the `{` after it; the fn body then closes early
+    // and the `.unwrap()` lands outside it.
+    let src = r#"pub fn a(c: char, v: &[u32]) -> u32 {
+    if c == '—' {
+        let _r: &'static str = "x";
+    }
+    v.first().copied().unwrap()
+}
+"#;
+    assert_eq!(
+        hits(KERNEL, src),
+        vec![(5, rules::TRANSITIVE_PANIC_REACHABILITY)]
+    );
+}
+
 // ---- rule: nondeterministic-iteration-flow (dataflow) --------------------
 
 /// Distinct rule names fired by the iteration-flow analysis on `src`.
